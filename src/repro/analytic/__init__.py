@@ -16,6 +16,12 @@ and drain-time terms.  ``python -m repro validate`` quantifies the
 residual error against an enforced accuracy budget
 (:mod:`repro.analytic.validate`).
 
+Each closed form exists once, written against the minimal array namespace
+of :mod:`repro.utils.xp`: called with Python scalars it answers one
+scenario in builtins, called with NumPy columns it answers a whole
+scenario axis — which is all :class:`ScenarioBatch` does, so the batch
+engine is bit-identical to ``predict_*`` by construction.
+
 Calibration caveat: every platform inherits the HBM concurrency ramp and
 contention knee fitted once against the paper's Fig. 13 on the MI210 (see
 :mod:`repro.hw.specs`), so analytic predictions on other catalog entries
@@ -33,7 +39,6 @@ from .device import DeviceModel, device_model
 from .explorer import (
     dominates,
     pareto_frontier,
-    pareto_frontier_legacy,
     pareto_mask,
     refine,
 )
@@ -57,7 +62,6 @@ __all__ = [
     "dominates",
     "evaluate_batch_records",
     "pareto_frontier",
-    "pareto_frontier_legacy",
     "pareto_mask",
     "refine",
     "predict_dlrm_scaleout",

@@ -7,13 +7,13 @@ ones that change control flow or object identity (platform, cluster shape,
 scheduler, ``algo``, dtypes, the baseline-override mapping) — partition the
 table into groups that each evaluate in one vectorized call.
 
-Every group core mirrors its scalar ``predict_*`` twin in
-:mod:`repro.analytic.ops` expression for expression (same operation order,
-same associativity), so batch results are elementwise **bit-identical** to
-the scalar oracle, not merely close.  Branchy/integer logic (occupancy
-allocation, grid balancing, divisor search, collective auto-selection) is
-handled by masked or piecewise evaluation in the vectorized twins this
-module composes — never by approximation.
+There is no second copy of the model here: a group is evaluated by the
+very ``predict_*`` closed form in :mod:`repro.analytic.ops` that answers a
+single scenario, called with columns instead of scalars (the forms are
+written once against :mod:`repro.utils.xp`).  Batch results are therefore
+elementwise **bit-identical** to the scalar path, not merely close.  This
+module only groups rows, builds columns, and assembles the per-scenario
+result records.
 
 Scenarios whose parameters the columnar schema cannot represent (unknown
 keys, non-integer values where the schema expects integers) transparently
@@ -29,19 +29,10 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..collectives import check_algo
-from ..fused.embedding_alltoall import ITEMSIZE, EmbeddingA2AConfig
-from ..fused.embedding_grad_alltoall import SCATTER_ATOMIC_FACTOR
-from ..hw.platform import get_platform
 from ..obs.metrics import get_metrics
-from .comm import FLAG_BYTES, CommModel
-from .device import device_model
 from .ops import (
-    _embedding_baseline_time,
-    _occupancy_limit_batch,
-    _overlap_finish_batch,
-    _queue_span_batch,
-    _tasks_per_slice_batch,
+    _wg_timeline_record,
+    _wg_timeline_values,
     predict_dlrm_scaleout,
     predict_embedding_a2a,
     predict_embedding_fused,
@@ -68,385 +59,6 @@ def _is_int(v: Any) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Group cores — one vectorized call per structural group.  ``s`` is the
-# structural mapping with defaults applied; ``c`` the numeric columns.
-# ---------------------------------------------------------------------------
-
-def _emb_validate(c: Dict[str, np.ndarray], world: int, pooling_mode: str,
-                  algo: Optional[str]) -> None:
-    """Vectorized mirror of :meth:`EmbeddingA2AConfig.validate`."""
-    check_algo("alltoall", algo)
-    if np.any(c["global_batch"] < 1) or np.any(c["tables_per_gpu"] < 1):
-        raise ValueError("batch and tables must be >= 1")
-    if np.any(c["global_batch"] % world):
-        bad = c["global_batch"][c["global_batch"] % world != 0][0]
-        raise ValueError(
-            f"global_batch {bad} not divisible by world {world}")
-    local = c["global_batch"] // world
-    if np.any(local % c["slice_vectors"]):
-        raise ValueError("local batch not divisible by slice_vectors")
-    tps = c["tasks_per_slice"]
-    if np.any((tps != 0)
-              & (c["slice_vectors"] % np.where(tps != 0, tps, 1) != 0)):
-        raise ValueError("slice_vectors must be divisible by tasks_per_slice")
-    if pooling_mode not in ("sum", "mean"):
-        raise ValueError(f"bad pooling mode {pooling_mode!r}")
-
-
-def _emb_fused_cols(num_nodes: int, gpus_per_node: int, scheduler: str,
-                    zero_copy: bool, pooling_mode: str, platform: Any,
-                    cpu_proxy: bool, algo: Optional[str],
-                    c: Dict[str, np.ndarray]) -> Dict[str, Any]:
-    """Columnar twin of :func:`repro.analytic.ops._embedding_fused_time`."""
-    world = num_nodes * gpus_per_node
-    _emb_validate(c, world, pooling_mode, algo)
-    plat = get_platform(platform)
-    d = device_model(plat)
-    cm = CommModel(plat, num_nodes, gpus_per_node, cpu_proxy=cpu_proxy)
-    spec = d.spec
-
-    T = c["tables_per_gpu"]
-    n_s = c["global_batch"] // world // c["slice_vectors"]
-    tps = _tasks_per_slice_batch(d, T, n_s, c["slice_vectors"],
-                                 c["tasks_per_slice"], world)
-    repeat = c["slice_vectors"] // tps
-    per_dest_tasks = T * n_s * tps
-    n_tasks = world * per_dest_tasks
-
-    occ = d.persistent_occupancy_batch(
-        d.fused_res, n_tasks,
-        occupancy_limit=_occupancy_limit_batch(
-            d, c["occupancy_of_baseline"]))
-    slots = d.n_slots_batch(occ, n_tasks)
-
-    # embedding_wg_cost(pooling, dim, ITEMSIZE), plus the flag-op charge.
-    bytes_base = ((c["pooling"] + 1) * c["dim"] * ITEMSIZE).astype(np.float64)
-    flops_base = (c["pooling"] * c["dim"]).astype(np.float64)
-    bytes_zc = bytes_base - c["dim"] * ITEMSIZE
-    fixed = spec.flag_op_latency
-    dur_base = d.task_time_batch(flops_base, bytes_base, "fp32", fixed,
-                                 "gather", occ, repeat)
-    dur_zc = d.task_time_batch(flops_base, bytes_zc, "fp32", fixed,
-                               "gather", occ, repeat)
-    same_node_remote = gpus_per_node - 1
-    other_node = world - gpus_per_node
-    dur_same = dur_zc if zero_copy else dur_base
-
-    remote_compute = per_dest_tasks * (same_node_remote * dur_same
-                                       + other_node * dur_base)
-    hook_charge = (world - 1) * T * n_s * spec.shmem_api_latency
-    total = per_dest_tasks * dur_base + remote_compute + hook_charge
-
-    launch = spec.kernel_launch_overhead
-    compute_end = launch + _queue_span_batch(total, n_tasks, slots)
-    first_task = dur_same if same_node_remote else dur_base
-    first_issue = launch + first_task * np.ceil(tps / slots)
-    if scheduler == "comm_aware":
-        last_issue = launch + (remote_compute + hook_charge) / slots
-    else:
-        last_issue = compute_end
-
-    slice_bytes = (c["slice_vectors"] * c["dim"]
-                   * ITEMSIZE).astype(np.float64)
-    msgs = T * n_s
-    finish = compute_end
-    if same_node_remote:
-        drain = cm.drain_time_batch(msgs * (slice_bytes + FLAG_BYTES),
-                                    2 * msgs, remote_node=False)
-        finish = np.maximum(finish, _overlap_finish_batch(
-            compute_end, first_issue, last_issue, drain,
-            cm.signal_tail_batch(slice_bytes, remote_node=False)))
-    if other_node:
-        nic_msgs = gpus_per_node * other_node * msgs
-        drain = cm.drain_time_batch(nic_msgs * (slice_bytes + FLAG_BYTES),
-                                    2 * nic_msgs, remote_node=True)
-        first_nic = first_issue
-        if same_node_remote:
-            same_total = per_dest_tasks * same_node_remote * dur_same \
-                + same_node_remote * T * n_s * spec.shmem_api_latency
-            first_nic = launch + same_total / slots
-        finish = np.maximum(finish, _overlap_finish_batch(
-            compute_end, first_nic, last_issue, drain,
-            cm.signal_tail_batch(slice_bytes, remote_node=True)))
-    return {"elapsed": finish, "first_issue": first_issue,
-            "last_issue": last_issue, "launch": launch,
-            "puts_per_remote_dest": msgs}
-
-
-def _emb_baseline_cols(num_nodes: int, gpus_per_node: int, pooling_mode: str,
-                       platform: Any, algo: Optional[str],
-                       c: Dict[str, np.ndarray]) -> np.ndarray:
-    """Columnar twin of :func:`_embedding_baseline_time`."""
-    world = num_nodes * gpus_per_node
-    _emb_validate(c, world, pooling_mode, algo)
-    plat = get_platform(platform)
-    d = device_model(plat)
-    cm = CommModel(plat, num_nodes, gpus_per_node)
-    bytes_base = ((c["pooling"] + 1) * c["dim"] * ITEMSIZE).astype(np.float64)
-    flops_base = (c["pooling"] * c["dim"]).astype(np.float64)
-    compute = c["tables_per_gpu"] * d.bulk_kernel_time_batch(
-        c["global_batch"], flops_base, bytes_base, "fp32", 0.0, "gather",
-        d.base_res)
-    chunk = (c["global_batch"] // world * c["tables_per_gpu"]
-             * c["dim"] * ITEMSIZE).astype(np.float64)
-    return compute + cm.alltoall_time_batch(chunk, algo=algo)
-
-
-def _embedding_a2a_core(s: Dict[str, Any],
-                        c: Dict[str, np.ndarray]) -> Dict[str, Any]:
-    fused = _emb_fused_cols(s["num_nodes"], s["gpus_per_node"],
-                            s["scheduler"], s["zero_copy"],
-                            s["pooling_mode"], s["platform"], False,
-                            s["algo"], c)
-    if s["baseline"] is None:
-        baseline = _emb_baseline_cols(s["num_nodes"], s["gpus_per_node"],
-                                      s["pooling_mode"], s["platform"],
-                                      s["algo"], c)
-    else:
-        # The override builds its own config from class defaults + the
-        # mapping — constant over the group, so one scalar call suffices.
-        base_cfg = EmbeddingA2AConfig(
-            functional=False, **{"algo": s["algo"], **s["baseline"]})
-        baseline = np.full(
-            len(c["global_batch"]),
-            _embedding_baseline_time(s["num_nodes"], s["gpus_per_node"],
-                                     base_cfg, platform=s["platform"]))
-    return {"fused_time": fused["elapsed"], "baseline_time": baseline}
-
-
-def _embedding_fused_core(s: Dict[str, Any],
-                          c: Dict[str, np.ndarray]) -> Dict[str, Any]:
-    fused = _emb_fused_cols(s["num_nodes"], s["gpus_per_node"],
-                            s["scheduler"], s["zero_copy"],
-                            s["pooling_mode"], s["platform"],
-                            s["cpu_proxy"], s["algo"], c)
-    return {"elapsed": fused["elapsed"]}
-
-
-def _embedding_grad_core(s: Dict[str, Any],
-                         c: Dict[str, np.ndarray]) -> Dict[str, Any]:
-    """Columnar twin of :func:`predict_embedding_grad_a2a`."""
-    num_nodes, gpn = s["num_nodes"], s["gpus_per_node"]
-    world = num_nodes * gpn
-    _emb_validate(c, world, s["pooling_mode"], s["algo"])
-    plat = get_platform(s["platform"])
-    d = device_model(plat)
-    cm = CommModel(plat, num_nodes, gpn)
-    spec = d.spec
-
-    T = c["tables_per_gpu"]
-    local = c["global_batch"] // world
-    n_s = local // c["slice_vectors"]
-    n_send = world * T * n_s
-    slice_bytes = (c["slice_vectors"] * c["dim"]
-                   * ITEMSIZE).astype(np.float64)
-
-    occ = d.persistent_occupancy_batch(d.fused_res, 2 * n_send,
-                                       n_work=n_send)
-    slots = d.n_slots_batch(occ, 2 * n_send)
-    send_dur = d.task_time_batch(0.0, slice_bytes, "fp32",
-                                 spec.flag_op_latency, "stream", occ)
-    n_remote = (world - 1) * T * n_s
-    send_total = n_send * send_dur + n_remote * spec.shmem_api_latency
-
-    # _scatter_cost(cfg, slice_vectors): the pooled-gradient scatter-add.
-    flops_b = (c["pooling"] * c["dim"]).astype(np.float64)
-    bytes_b = ((c["pooling"] + 1) * c["dim"] * ITEMSIZE).astype(np.float64)
-    apply_dur = d.wg_time_batch(flops_b * c["slice_vectors"],
-                                bytes_b * c["slice_vectors"]
-                                * SCATTER_ATOMIC_FACTOR,
-                                "fp32", 0.0, "gather", occ)
-    apply_total = n_send * (spec.wg_dispatch_overhead + apply_dur)
-
-    launch = spec.kernel_launch_overhead
-    send_end = launch + _queue_span_batch(send_total, n_send, slots)
-    first_issue = launch + send_dur
-    last_issue = launch + ((n_remote * send_dur
-                            + n_remote * spec.shmem_api_latency) / slots)
-    remote_dst = num_nodes > 1
-    per_channel = n_remote // max(world - 1, 1)
-    drain = cm.drain_time_batch(per_channel * (slice_bytes + FLAG_BYTES),
-                                2 * per_channel, remote_node=remote_dst)
-    arrival = (np.maximum(last_issue, first_issue + drain)
-               + cm.signal_tail_batch(slice_bytes, remote_node=remote_dst))
-    finish = np.maximum(
-        send_end + _queue_span_batch(apply_total, n_send, slots),
-        arrival + spec.wg_dispatch_overhead + apply_dur)
-
-    chunk = (local * T * c["dim"] * ITEMSIZE).astype(np.float64)
-    baseline = (cm.alltoall_time_batch(chunk, algo=s["algo"])
-                + d.bulk_kernel_time_batch(
-                    c["global_batch"] * T, flops_b,
-                    bytes_b * SCATTER_ATOMIC_FACTOR, "fp32", 0.0,
-                    "gather", d.base_res))
-    return {"fused_time": finish, "baseline_time": baseline}
-
-
-def _gemv_core(s: Dict[str, Any],
-               c: Dict[str, np.ndarray]) -> Dict[str, Any]:
-    """Columnar twin of :func:`predict_gemv_allreduce`."""
-    world = s["world"]
-    check_algo("allreduce", s["algo"])
-    if np.any(c["m"] < 1) or np.any(c["n_per_gpu"] < 1):
-        raise ValueError("m and n_per_gpu must be >= 1")
-    if np.any(c["m"] % (world * c["tile_rows"])):
-        raise ValueError("m must be divisible by world*tile_rows")
-    plat = get_platform(s["platform"])
-    d = device_model(plat)
-    cm = CommModel(plat, num_nodes=1, gpus_per_node=world)
-    spec = d.spec
-
-    chunk = c["m"] // world
-    tiles_per_owner = chunk // c["tile_rows"]
-    n_a = world * tiles_per_owner
-    n_b = tiles_per_owner
-    tile_bytes = (c["tile_rows"] * c["itemsize"]).astype(np.float64)
-
-    occ = d.persistent_occupancy_batch(d.fused_res, n_a + n_b, n_work=n_a)
-    slots = d.n_slots_batch(occ, n_a + n_b)
-    # gemv_wg_cost(tile_rows, n_per_gpu, itemsize), with the flag charge
-    # and the workload's flop dtype swapped in.
-    bytes_g = ((c["tile_rows"] * c["n_per_gpu"] + c["n_per_gpu"]
-                + c["tile_rows"]) * c["itemsize"]).astype(np.float64)
-    flops_g = 2.0 * c["tile_rows"] * c["n_per_gpu"]
-    bytes_zc = bytes_g - c["tile_rows"] * c["itemsize"]
-    dt = s["flop_dtype"]
-    t_a = _queue_span_batch(
-        tiles_per_owner * (d.task_time_batch(flops_g, bytes_g, dt,
-                                             spec.flag_op_latency,
-                                             "stream", occ)
-                           + (world - 1)
-                           * d.task_time_batch(flops_g, bytes_zc, dt,
-                                               spec.flag_op_latency,
-                                               "stream", occ)),
-        n_a, slots)
-    launch = spec.kernel_launch_overhead
-    partial_ready = launch + t_a + cm.signal_tail_batch(tile_bytes,
-                                                        remote_node=False)
-
-    red_flops = ((world - 1) * c["tile_rows"]).astype(np.float64)
-    red_bytes = ((world + 1) * c["tile_rows"]
-                 * c["itemsize"]).astype(np.float64)
-    reduce_dur = d.wg_time_batch(red_flops, red_bytes, "fp32", 0.0,
-                                 "stream", occ)
-    rounds_b = np.ceil(n_b / slots)
-    t_b = rounds_b * (spec.wg_dispatch_overhead + reduce_dur)
-    bcast_drain = chunk * c["itemsize"] / cm.link.bandwidth
-    fused = (partial_ready + np.maximum(t_b, bcast_drain)
-             + cm.signal_tail_batch(tile_bytes, remote_node=False))
-
-    baseline = (d.bulk_kernel_time_batch(c["m"] // c["tile_rows"], flops_g,
-                                         bytes_g, dt, 0.0, "stream",
-                                         d.base_res)
-                + cm.allreduce_time_batch(
-                    (c["m"] * c["itemsize"]).astype(np.float64), c["m"],
-                    itemsize=c["itemsize"], algo=s["algo"] or "direct"))
-    return {"fused_time": fused, "baseline_time": baseline}
-
-
-def _gemm_core(s: Dict[str, Any],
-               c: Dict[str, np.ndarray]) -> Dict[str, Any]:
-    """Columnar twin of :func:`predict_gemm_a2a`."""
-    world = s["world"]
-    check_algo("alltoall", s["algo"])
-    if (np.any(c["tokens"] < 1) or np.any(c["model_dim"] < 1)
-            or np.any(c["ffn_dim"] < 1)):
-        raise ValueError("all GEMM dims must be >= 1")
-    if np.any(c["tokens"] % (world * c["block_m"])):
-        raise ValueError("tokens must divide into world*block_m")
-    if np.any(c["ffn_dim"] % c["block_n"]):
-        raise ValueError("ffn_dim must be divisible by block_n")
-    plat = get_platform(s["platform"])
-    d = device_model(plat)
-    cm = CommModel(plat, num_nodes=1, gpus_per_node=world)
-    spec = d.spec
-
-    grid_m = c["tokens"] // c["block_m"]
-    grid_n = c["ffn_dim"] // c["block_n"]
-    n_tasks = grid_m * grid_n
-    tiles_per_dest = n_tasks // world
-    tile_wire = (c["block_m"] * c["block_n"]
-                 * c["itemsize"]).astype(np.float64)
-
-    occ = d.persistent_occupancy_batch(d.fused_res, n_tasks)
-    slots = d.n_slots_batch(occ, n_tasks)
-    # gemm_wg_cost(block_m, block_n, model_dim, itemsize, dtype).
-    bytes_g = ((c["model_dim"] * (c["block_m"] + c["block_n"])
-                + c["block_m"] * c["block_n"])
-               * c["itemsize"]).astype(np.float64)
-    flops_g = 2.0 * c["block_m"] * c["block_n"] * c["model_dim"]
-    dt = s["flop_dtype"]
-    fixed = spec.flag_op_latency
-    dur_base = d.task_time_batch(flops_g, bytes_g, dt, fixed, "stream", occ)
-    dur_zc = d.task_time_batch(flops_g, bytes_g - tile_wire, dt, fixed,
-                               "stream", occ)
-    remote_compute = ((world - 1) * tiles_per_dest
-                      * (dur_zc + spec.shmem_api_latency))
-    total = (tiles_per_dest * (dur_base + spec.shmem_api_latency)
-             + remote_compute)
-
-    launch = spec.kernel_launch_overhead
-    compute_end = launch + _queue_span_batch(total, n_tasks, slots)
-    first_issue = launch + dur_zc
-    last_issue = launch + remote_compute / slots
-    if s["scheduler"] != "comm_aware":
-        last_issue = compute_end
-    drain = cm.drain_time_batch(tiles_per_dest * (tile_wire + FLAG_BYTES),
-                                2 * tiles_per_dest, remote_node=False)
-    fused = _overlap_finish_batch(
-        compute_end, first_issue, last_issue, drain,
-        cm.signal_tail_batch(tile_wire, remote_node=False))
-
-    tps = c["tokens"] // world
-    chunk = (tps * c["ffn_dim"] * c["itemsize"]).astype(np.float64)
-    baseline = (d.bulk_kernel_time_batch(n_tasks, flops_g, bytes_g, dt,
-                                         0.0, "stream", d.base_res)
-                + cm.alltoall_time_batch(chunk, algo=s["algo"]))
-    return {"fused_time": fused, "baseline_time": baseline}
-
-
-def _dlrm_core(s: Dict[str, Any],
-               c: Dict[str, np.ndarray]) -> Dict[str, Any]:
-    """Scale-out DLRM has no closed batch form (list-scheduled execution
-    graphs); its sweeps are tiny, so evaluate per row."""
-    n = len(c["num_nodes"])
-    out = {k: np.empty(n) for k in ("fused_time", "baseline_time",
-                                    "reduction_pct",
-                                    "exposed_a2a_fraction")}
-    for i in range(n):
-        r = predict_dlrm_scaleout(int(c["num_nodes"][i]),
-                                  platform=s["platform"])
-        for k, col in out.items():
-            col[i] = r[k]
-    return out
-
-
-def _wg_timeline_core(s: Dict[str, Any],
-                      c: Dict[str, np.ndarray]) -> Dict[str, Any]:
-    """Columnar twin of :func:`predict_wg_timeline`."""
-    n = len(c["batch"])
-    cols = {
-        "global_batch": c["batch"],
-        "tables_per_gpu": c["tables"],
-        "dim": np.full(n, 256, np.int64),
-        "pooling": np.full(n, 70, np.int64),
-        "slice_vectors": c["wgs_per_slice"],
-        "tasks_per_slice": c["wgs_per_slice"],
-        "occupancy_of_baseline": np.full(n, np.nan),
-    }
-    fused = _emb_fused_cols(2, 1, "comm_aware", True, "sum", s["platform"],
-                            False, None, cols)
-    kspan = fused["elapsed"]
-    return {"_kernel_time_s": kspan,
-            "_first_put_frac": fused["first_issue"] / kspan,
-            "_last_put_frac": fused["last_issue"] / kspan,
-            "_elapsed_s": kspan,
-            "puts_issued_node0": fused["puts_per_remote_dest"],
-            "first_issue": fused["first_issue"],
-            "last_issue": fused["last_issue"]}
-
-
-# ---------------------------------------------------------------------------
 # Per-runner record builders (exact scalar result-dict shapes)
 # ---------------------------------------------------------------------------
 
@@ -462,124 +74,103 @@ def _fused_record(s: Dict[str, Any], row: Dict[str, Any]) -> Dict[str, Any]:
                                for r in range(world)}}
 
 
-def _dlrm_record(s: Dict[str, Any], row: Dict[str, Any]) -> Dict[str, Any]:
-    return {k: row[k] for k in ("fused_time", "baseline_time",
-                                "reduction_pct", "exposed_a2a_fraction")}
-
-
-def _wg_timeline_record(s: Dict[str, Any],
-                        row: Dict[str, Any]) -> Dict[str, Any]:
-    kspan = row["_kernel_time_s"]
-    first = row["first_issue"]
-    last = row["last_issue"]
-    return {
-        "kernel_time": f"{kspan * 1e3:.3f} ms",
-        "puts_issued_node0": row["puts_issued_node0"],
-        "first_put_at": f"{100 * first / kspan:.1f}% of kernel",
-        "last_put_at": f"{100 * last / kspan:.1f}% of kernel",
-        "elapsed": f"{kspan * 1e3:.3f} ms",
-        "timeline": "\n(per-WG timeline requires the DES trace; run this "
-                    "sweep under backend=sim to render it)",
-        "_kernel_time_s": kspan,
-        "_first_put_frac": first / kspan,
-        "_last_put_frac": last / kspan,
-        "_elapsed_s": kspan,
-    }
-
-
 # ---------------------------------------------------------------------------
 # Runner schemas
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class _RunnerBatch:
-    """Columnar schema + vectorized core for one scenario runner."""
+    """Columnar schema for one scenario runner.
+
+    ``columns`` is the closed form a structural group is evaluated by,
+    called with the group's structural params and numeric columns as
+    keyword arguments; ``None`` marks a runner with no closed form over
+    columns, whose rows the scalar form evaluates one by one.
+    """
 
     scalar: Callable[..., Dict[str, Any]]
     numeric: Mapping[str, Any]              #: int64 columns (default/_REQUIRED)
     structural: Mapping[str, Any]           #: group params (default/_REQUIRED)
-    core: Callable[[Dict[str, Any], Dict[str, np.ndarray]], Dict[str, Any]]
     float_out: Tuple[str, ...]
-    record: Callable[[Dict[str, Any], Dict[str, Any]], Dict[str, Any]]
+    columns: Optional[Callable[..., Dict[str, Any]]] = None
+    record: Optional[Callable[[Dict[str, Any], Dict[str, Any]],
+                              Dict[str, Any]]] = None
     nan_numeric: Tuple[str, ...] = ()       #: float columns, None -> NaN
     int_out: Tuple[str, ...] = ()
-    extra_out: Tuple[str, ...] = ()         #: record-only core outputs
+    extra_out: Tuple[str, ...] = ()         #: record-only column outputs
 
 
 _EMB_NUMERIC = {"global_batch": _REQUIRED, "tables_per_gpu": _REQUIRED,
                 "dim": 256, "pooling": 70, "rows_per_table": 1000,
                 "slice_vectors": 32, "tasks_per_slice": 0, "seed": 0}
 _EMB_STRUCTURAL = {"scheduler": "comm_aware", "zero_copy": True,
-                   "pooling_mode": "sum", "algo": None, "platform": None,
-                   "functional": False}
+                   "pooling_mode": "sum", "algo": None, "platform": None}
 
 _RUNNERS: Dict[str, _RunnerBatch] = {
     "embedding_a2a_pair": _RunnerBatch(
         scalar=predict_embedding_a2a,
+        columns=predict_embedding_a2a,
         numeric=_EMB_NUMERIC,
         nan_numeric=("occupancy_of_baseline",),
         structural={**_EMB_STRUCTURAL, "num_nodes": _REQUIRED,
                     "gpus_per_node": _REQUIRED, "baseline": None},
-        core=_embedding_a2a_core,
         float_out=("fused_time", "baseline_time"),
         record=_pair_record),
     "embedding_fused": _RunnerBatch(
         scalar=predict_embedding_fused,
+        columns=predict_embedding_fused,
         numeric=_EMB_NUMERIC,
         nan_numeric=("occupancy_of_baseline",),
         structural={**_EMB_STRUCTURAL, "num_nodes": 2, "gpus_per_node": 1,
                     "cpu_proxy": False},
-        core=_embedding_fused_core,
         float_out=("elapsed",),
         record=_fused_record),
     "embedding_grad_pair": _RunnerBatch(
         scalar=predict_embedding_grad_a2a,
+        columns=predict_embedding_grad_a2a,
         numeric=_EMB_NUMERIC,
         nan_numeric=("occupancy_of_baseline",),
         structural={**_EMB_STRUCTURAL, "num_nodes": 2, "gpus_per_node": 1},
-        core=_embedding_grad_core,
         float_out=("fused_time", "baseline_time"),
         record=_pair_record),
     "gemv_allreduce_pair": _RunnerBatch(
         scalar=predict_gemv_allreduce,
+        columns=predict_gemv_allreduce,
         numeric={"m": _REQUIRED, "n_per_gpu": _REQUIRED, "tile_rows": 16,
                  "itemsize": 2, "seed": 0},
         structural={"world": 4, "platform": None, "flop_dtype": "fp16",
-                    "scheduler": "comm_aware", "algo": None,
-                    "functional": False},
-        core=_gemv_core,
+                    "scheduler": "comm_aware", "algo": None},
         float_out=("fused_time", "baseline_time"),
         record=_pair_record),
     "gemm_a2a_pair": _RunnerBatch(
         scalar=predict_gemm_a2a,
+        columns=predict_gemm_a2a,
         numeric={"tokens": _REQUIRED, "model_dim": _REQUIRED,
                  "ffn_dim": _REQUIRED, "block_m": 64, "block_n": 128,
                  "itemsize": 2, "seed": 0},
         structural={"world": 4, "platform": None, "flop_dtype": "fp16",
-                    "scheduler": "comm_aware", "algo": None,
-                    "functional": False},
-        core=_gemm_core,
+                    "scheduler": "comm_aware", "algo": None},
         float_out=("fused_time", "baseline_time"),
         record=_pair_record),
+    # Scale-out DLRM list-schedules execution graphs: no closed form over
+    # columns, and its sweeps are tiny.
     "dlrm_scaleout": _RunnerBatch(
         scalar=predict_dlrm_scaleout,
         numeric={"num_nodes": _REQUIRED},
         structural={"platform": None},
-        core=_dlrm_core,
         float_out=("fused_time", "baseline_time", "reduction_pct",
-                   "exposed_a2a_fraction"),
-        record=_dlrm_record),
+                   "exposed_a2a_fraction")),
     "wg_timeline": _RunnerBatch(
         scalar=predict_wg_timeline,
+        columns=_wg_timeline_values,
         numeric={"batch": 512, "tables": 32, "wgs_per_slice": 16,
                  "timeline_width": 100},
         structural={"platform": None},
-        core=_wg_timeline_core,
         float_out=("_kernel_time_s", "_first_put_frac", "_last_put_frac",
                    "_elapsed_s"),
         int_out=("puts_issued_node0",),
         extra_out=("first_issue", "last_issue"),
-        record=_wg_timeline_record),
+        record=lambda s, row: _wg_timeline_record(row)),
 }
 
 
@@ -811,20 +402,30 @@ class ScenarioBatch:
     # -- evaluation ----------------------------------------------------------
     def _group_outputs(self) -> List[Tuple[_Group, Dict[str, Any]]]:
         spec = _RUNNERS[self.runner]
+        names = spec.float_out + spec.int_out + spec.extra_out
         m = get_metrics()
         out = []
         for g in self.groups:
-            if g.structural is None:
-                results = [spec.scalar(**p) for p in g.fallback_params]
+            if g.structural is None or spec.columns is None:
+                if g.structural is None:
+                    params = g.fallback_params
+                    if m.enabled:
+                        m.inc("batch.scalar_fallback_rows", len(g.rows))
+                else:
+                    params = [{**g.structural,
+                               **{k: c[j].item()
+                                  for k, c in g.columns.items()}}
+                              for j in range(len(g.rows))]
+                results = [spec.scalar(**p) for p in params]
                 cols: Dict[str, Any] = {
                     k: np.asarray([r[k] for r in results])
                     for k in spec.float_out + spec.int_out}
                 cols["_records"] = results
-                out.append((g, cols))
-                if m.enabled:
-                    m.inc("batch.scalar_fallback_rows", len(g.rows))
             else:
-                out.append((g, spec.core(g.structural, g.columns)))
+                res = spec.columns(**g.structural, **g.columns)
+                cols = {k: np.broadcast_to(res[k], g.rows.shape)
+                        for k in names}
+            out.append((g, cols))
         if m.enabled:
             m.inc("batch.rows", self.n)
             m.inc("batch.groups", len(self.groups))
@@ -847,7 +448,7 @@ class ScenarioBatch:
         results: List[Optional[Dict[str, Any]]] = [None] * self.n
         names = spec.float_out + spec.int_out + spec.extra_out
         for g, cols in self._group_outputs():
-            if g.structural is None:
+            if "_records" in cols:
                 for i, r in zip(g.rows, cols["_records"]):
                     results[i] = r
                 continue

@@ -22,26 +22,30 @@ from typing import Optional
 
 import numpy as np
 
-from ..collectives import CommTopology, resolve_allreduce, resolve_alltoall
-from ..collectives.base import (
+from ..collectives import (
     AUTO,
-    PAIRWISE_MAX_BYTES,
-    TREE_MAX_BYTES,
-    default_allreduce,
-    default_alltoall,
-    get_allreduce,
-    get_alltoall,
+    CommTopology,
+    resolve_allreduce,
+    resolve_alltoall,
+    select_allreduce,
+    select_alltoall,
 )
 from ..comm.collectives import BLIT_EFFICIENCY
 from ..comm.shmem import FLAG_BYTES, ShmemContext
 from ..hw.platform import PlatformLike, get_platform
+from ..utils.xp import NP, xp_of
 from .device import device_model
 
 __all__ = ["CommModel", "FLAG_BYTES"]
 
 
 class CommModel:
-    """Closed-form communication timing on one platform's cluster shape."""
+    """Closed-form communication timing on one platform's cluster shape.
+
+    Byte and element counts may be Python scalars or NumPy columns over a
+    scenario axis (the cluster shape, and so every ``remote_node``, is
+    uniform); each method is one closed form over :mod:`repro.utils.xp`.
+    """
 
     def __init__(self, platform: PlatformLike = None, num_nodes: int = 1,
                  gpus_per_node: int = 4, cpu_proxy: bool = False,
@@ -75,8 +79,7 @@ class CommModel:
         return (self.rdma_put_time(nbytes) if remote_node
                 else self.fabric_put_time(nbytes))
 
-    def drain_time(self, total_bytes: float, n_messages: int,
-                   remote_node: bool) -> float:
+    def drain_time(self, total_bytes, n_messages, remote_node: bool):
         """Steady-state time to push a stream of puts through one channel.
 
         Fabric links are pure bandwidth; the NIC is the max of its
@@ -84,8 +87,9 @@ class CommModel:
         ``message_overhead`` per put; flag writes count as messages too).
         """
         if remote_node:
-            return max(total_bytes / self.nic.bandwidth,
-                       n_messages * self.nic.message_overhead)
+            return xp_of(total_bytes, n_messages).maximum(
+                total_bytes / self.nic.bandwidth,
+                n_messages * self.nic.message_overhead)
         return total_bytes / self.link.bandwidth
 
     def signal_tail(self, nbytes: float, remote_node: bool) -> float:
@@ -103,16 +107,16 @@ class CommModel:
         """Blit-kernel local copy: read + write through HBM (full occ)."""
         return 2.0 * nbytes / self.device.hbm_bandwidth(1.0)
 
-    def reduce_time(self, n_elems: int, n_sources: int,
-                    itemsize: int) -> float:
+    def reduce_time(self, n_elems, n_sources: int, itemsize):
         """Mirror of ``CollectiveLibrary._reduce_time``."""
         if n_sources <= 1:
             return 0.0
-        flops = float(n_elems) * (n_sources - 1)
-        read_bytes = float(n_elems) * itemsize * n_sources
+        xp = xp_of(n_elems, itemsize)
+        flops = xp.asfloat(n_elems) * (n_sources - 1)
+        read_bytes = xp.asfloat(n_elems) * itemsize * n_sources
         flop_t = flops / self.device.spec.flop_rate("fp32")
         mem_t = read_bytes / self.device.hbm_bandwidth(1.0)
-        return max(flop_t, mem_t)
+        return xp.maximum(flop_t, mem_t)
 
     def blit_route_time(self, nbytes: float, remote_node: bool) -> float:
         """One baseline-collective chunk: blit staging intra-node, RDMA
@@ -122,9 +126,6 @@ class CommModel:
                     + nbytes / self.nic.bandwidth)
         return self.link.latency + (nbytes / self.blit_efficiency
                                     / self.link.bandwidth)
-
-    # Backwards-compatible alias (pre-algorithm-library name).
-    _blit_route_time = blit_route_time
 
     def nic_pipeline_time(self, n_msgs: int, msg_bytes: float,
                           rx_msgs: Optional[int] = None) -> float:
@@ -141,175 +142,54 @@ class CommModel:
         rx = n_msgs if rx_msgs is None else rx_msgs
         mo = self.nic.message_overhead
         wire = msg_bytes / self.nic.bandwidth
-        return self.nic.latency + max(n_msgs * mo + wire,
-                                      mo + rx * wire)
+        return self.nic.latency + xp_of(wire).maximum(n_msgs * mo + wire,
+                                                      mo + rx * wire)
 
     def topology(self) -> CommTopology:
         return CommTopology(self.num_nodes, self.gpus_per_node)
 
-    def alltoall_time(self, chunk_bytes: float,
-                      algo: Optional[str] = None) -> float:
+    def alltoall_time(self, chunk_bytes, algo: Optional[str] = None):
         """Mirror of ``CollectiveLibrary.all_to_all_bytes`` (symmetric
         ranks).  ``algo`` names a schedule from
         :mod:`repro.collectives` (``None`` = the legacy flat one); each
         closed form mirrors its DES schedule round for round."""
-        if chunk_bytes < 0:
+        xp = xp_of(chunk_bytes)
+        if xp.any(chunk_bytes < 0):
             raise ValueError("chunk_bytes must be >= 0")
-        algorithm = resolve_alltoall(algo, self.topology(), chunk_bytes)
-        return algorithm.analytic_time(self, self.topology(), chunk_bytes)
+        topo = self.topology()
+        if algo == AUTO and xp is NP:
+            return self._auto_columns(resolve_alltoall, select_alltoall,
+                                      chunk_bytes)
+        algorithm = resolve_alltoall(algo, topo, chunk_bytes)
+        return algorithm.analytic_time(self, topo, chunk_bytes)
 
-    def allreduce_time(self, nbytes: float, n_elems: int, itemsize: int = 4,
-                       algo: Optional[str] = None) -> float:
+    def allreduce_time(self, nbytes, n_elems, itemsize=4,
+                       algo: Optional[str] = None):
         """Mirror of ``CollectiveLibrary.all_reduce_bytes``.  ``algo``
         names a schedule from :mod:`repro.collectives`; ``None`` keeps
         the legacy default (direct inside a node, ring across nodes)."""
-        if nbytes < 0:
+        xp = xp_of(nbytes)
+        if xp.any(nbytes < 0):
             raise ValueError("nbytes must be >= 0")
         topo = self.topology()
+        if algo == AUTO and xp is NP:
+            return self._auto_columns(resolve_allreduce, select_allreduce,
+                                      nbytes, n_elems, itemsize)
         algorithm = resolve_allreduce(algo, topo, nbytes)
         if topo.world == 1:
-            return self.launch()
+            return xp.full_like(nbytes, self.launch())
         return algorithm.analytic_time(self, topo, nbytes, n_elems, itemsize)
 
-    def allreduce_direct_time(self, nbytes: float, n_elems: int,
-                              itemsize: int = 4) -> float:
-        """Mirror of ``all_reduce_bytes(algorithm="direct")``: launch,
-        reduce-scatter phase, local reduction, all-gather phase."""
-        return self.allreduce_time(nbytes, n_elems, itemsize, algo="direct")
-
-    # -- vectorized twins ----------------------------------------------------
-    # Array-over-the-scenario-axis forms of the closed forms above.  The
-    # cluster shape (and hence ``remote_node`` at every call site) is
-    # uniform over a batch; byte counts are the scenario columns.  Every
-    # expression replicates the scalar method's operation order, so the
-    # results are elementwise bit-identical.
-
-    def fabric_put_time_batch(self, nbytes, flows: int = 1) -> np.ndarray:
-        return (self.link.latency
-                + nbytes * max(flows, 1) / self.link.bandwidth)
-
-    def rdma_put_time_batch(self, nbytes) -> np.ndarray:
-        return (self._proxy_latency() + self.nic.message_overhead
-                + self.nic.latency + nbytes / self.nic.bandwidth)
-
-    def put_time_batch(self, nbytes, remote_node: bool) -> np.ndarray:
-        return (self.rdma_put_time_batch(nbytes) if remote_node
-                else self.fabric_put_time_batch(nbytes))
-
-    def drain_time_batch(self, total_bytes, n_messages,
-                         remote_node: bool) -> np.ndarray:
-        if remote_node:
-            return np.maximum(total_bytes / self.nic.bandwidth,
-                              n_messages * self.nic.message_overhead)
-        return total_bytes / self.link.bandwidth
-
-    def signal_tail_batch(self, nbytes, remote_node: bool) -> np.ndarray:
-        return (self.put_time_batch(nbytes, remote_node)
-                + self.put_time(FLAG_BYTES, remote_node))
-
-    def local_copy_time_batch(self, nbytes) -> np.ndarray:
-        return 2.0 * nbytes / self.device.hbm_bandwidth(1.0)
-
-    def reduce_time_batch(self, n_elems, n_sources: int,
-                          itemsize: int) -> np.ndarray:
-        """Array twin of :meth:`reduce_time` (``n_sources`` is uniform —
-        it comes from the batch's topology constants)."""
-        if n_sources <= 1:
-            return np.zeros(len(np.asarray(n_elems)))
-        elems = np.asarray(n_elems, np.float64)
-        flops = elems * (n_sources - 1)
-        read_bytes = elems * itemsize * n_sources
-        flop_t = flops / self.device.spec.flop_rate("fp32")
-        mem_t = read_bytes / self.device.hbm_bandwidth(1.0)
-        return np.maximum(flop_t, mem_t)
-
-    def blit_route_time_batch(self, nbytes, remote_node: bool) -> np.ndarray:
-        if remote_node:
-            return (self.nic.message_overhead + self.nic.latency
-                    + nbytes / self.nic.bandwidth)
-        return self.link.latency + (nbytes / self.blit_efficiency
-                                    / self.link.bandwidth)
-
-    def nic_pipeline_time_batch(self, n_msgs, msg_bytes,
-                                rx_msgs=None) -> np.ndarray:
-        rx = n_msgs if rx_msgs is None else rx_msgs
-        mo = self.nic.message_overhead
-        wire = msg_bytes / self.nic.bandwidth
-        return self.nic.latency + np.maximum(n_msgs * mo + wire,
-                                             mo + rx * wire)
-
-    def _check_supported(self, kind: str, name: str, algo) -> None:
-        """Mirror of ``collectives.base._resolve``'s topology guard."""
+    def _auto_columns(self, resolve, select, size, *args):
+        """``algo="auto"`` over a column of sizes: the selector picks a
+        schedule per row, and each picked schedule evaluates its rows."""
         topo = self.topology()
-        reason = algo.supports(topo)
-        if reason is not None:
-            raise ValueError(
-                f"{kind} algorithm {name!r} does not support "
-                f"{topo.num_nodes}x{topo.gpus_per_node}: {reason}")
-
-    def alltoall_time_batch(self, chunk_bytes,
-                            algo: Optional[str] = None) -> np.ndarray:
-        """Array twin of :meth:`alltoall_time`.  A named (or defaulted)
-        schedule evaluates the whole batch in one call; ``"auto"``
-        replicates the size selector with masks and evaluates each chosen
-        schedule on its sub-batch."""
-        chunk_bytes = np.asarray(chunk_bytes, np.float64)
-        if np.any(chunk_bytes < 0):
-            raise ValueError("chunk_bytes must be >= 0")
-        topo = self.topology()
-        if algo != AUTO:
-            name = default_alltoall(topo) if algo is None else algo
-            algorithm = get_alltoall(name)
-            self._check_supported("alltoall", name, algorithm)
-            return algorithm.analytic_time_batch(self, topo, chunk_bytes)
-        out = np.empty_like(chunk_bytes)
-        if topo.num_nodes == 1:
-            masks = {"flat": np.ones(len(chunk_bytes), bool)}
-        else:
-            small = chunk_bytes <= PAIRWISE_MAX_BYTES
-            staged = "hier" if topo.gpus_per_node > 1 else "pairwise"
-            masks = {staged: small, "flat": ~small}
-        for name, mask in masks.items():
-            if not np.any(mask):
-                continue
-            algorithm = get_alltoall(name)
-            self._check_supported("alltoall", name, algorithm)
-            out[mask] = algorithm.analytic_time_batch(self, topo,
-                                                      chunk_bytes[mask])
-        return out
-
-    def allreduce_time_batch(self, nbytes, n_elems, itemsize: int = 4,
-                             algo: Optional[str] = None) -> np.ndarray:
-        """Array twin of :meth:`allreduce_time` (same ``world == 1``
-        early-out after resolution, same auto-selector thresholds)."""
-        nbytes = np.asarray(nbytes, np.float64)
-        n_elems = np.asarray(n_elems, np.int64)
-        if np.any(nbytes < 0):
-            raise ValueError("nbytes must be >= 0")
-        topo = self.topology()
-        if algo != AUTO:
-            name = default_allreduce(topo) if algo is None else algo
-            algorithm = get_allreduce(name)
-            self._check_supported("allreduce", name, algorithm)
-            if topo.world == 1:
-                return np.full(len(nbytes), self.launch())
-            return algorithm.analytic_time_batch(self, topo, nbytes,
-                                                 n_elems, itemsize)
-        if topo.num_nodes == 1:
-            masks = {"direct": np.ones(len(nbytes), bool)}
-        else:
-            small = nbytes <= TREE_MAX_BYTES
-            staged = "hier" if topo.gpus_per_node > 1 else "tree"
-            masks = {staged: small, "ring": ~small}
-        if topo.world == 1:
-            return np.full(len(nbytes), self.launch())
-        out = np.empty_like(nbytes)
-        for name, mask in masks.items():
-            if not np.any(mask):
-                continue
-            algorithm = get_allreduce(name)
-            self._check_supported("allreduce", name, algorithm)
-            isz = itemsize[mask] if np.ndim(itemsize) else itemsize
-            out[mask] = algorithm.analytic_time_batch(
-                self, topo, nbytes[mask], n_elems[mask], isz)
+        names = np.broadcast_to(select(topo, size), np.shape(size))
+        out = np.empty(np.shape(size))
+        for name in np.unique(names):
+            rows = names == name
+            algorithm = resolve(str(name), topo, None)
+            out[rows] = algorithm.analytic_time(
+                self, topo, *(a[rows] if np.ndim(a) else a
+                              for a in (size, *args)))
         return out

@@ -13,71 +13,31 @@ approximations live one level up, in :mod:`repro.analytic.ops`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Union
 
 import numpy as np
 
 from ..hw.gpu import KernelResources, OccupancyInfo, WgCost, occupancy_for
 from ..hw.memory import HbmModel
 from ..hw.platform import Platform, PlatformLike, get_platform
+from ..utils.xp import xp_of
 
-__all__ = ["BatchOccupancy", "DeviceModel", "device_model"]
+__all__ = ["DeviceModel", "device_model"]
 
 #: Mirror of :data:`repro.kernels.kernel._BALANCE_ROUNDS` — task loops at
 #: most this many rounds long get a balanced persistent-kernel grid.
 _BALANCE_ROUNDS = 8
 
 
-@dataclass(frozen=True)
-class BatchOccupancy:
-    """Array-valued :class:`~repro.hw.gpu.OccupancyInfo` over a scenario
-    axis.  ``waves_per_wg`` never changes under :meth:`limited_to`, so it
-    stays scalar; the three fields the grid-size rules touch are columns.
-    """
-
-    waves_per_wg: int
-    wgs_per_cu: np.ndarray      #: int64
-    resident_wgs: np.ndarray    #: int64
-    fraction: np.ndarray        #: float64
-
-    @classmethod
-    def broadcast(cls, occ: OccupancyInfo, n: int) -> "BatchOccupancy":
-        return cls(occ.waves_per_wg,
-                   np.full(n, occ.wgs_per_cu, np.int64),
-                   np.full(n, occ.resident_wgs, np.int64),
-                   np.full(n, occ.fraction, np.float64))
-
-    def limited_to(self, max_resident: np.ndarray) -> "BatchOccupancy":
-        """Array twin of :meth:`OccupancyInfo.limited_to` — the clamp
-        applies exactly where ``max_resident < resident_wgs`` (the scalar
-        identity short-circuit), elementwise bit-identical."""
-        max_resident = np.asarray(max_resident, np.int64)
-        if np.any(max_resident < 1):
-            raise ValueError("max_resident must be >= 1")
-        apply = max_resident < self.resident_wgs
-        new_wpc = np.maximum(1, self.wgs_per_cu * max_resident
-                             // self.resident_wgs)
-        new_frac = self.fraction * max_resident / self.resident_wgs
-        return BatchOccupancy(
-            self.waves_per_wg,
-            np.where(apply, new_wpc, self.wgs_per_cu),
-            np.where(apply, max_resident, self.resident_wgs),
-            np.where(apply, new_frac, self.fraction))
-
-    def where(self, cond: np.ndarray,
-              other: "BatchOccupancy") -> "BatchOccupancy":
-        """Elementwise select: ``self`` where ``cond`` else ``other``."""
-        return BatchOccupancy(
-            self.waves_per_wg,
-            np.where(cond, self.wgs_per_cu, other.wgs_per_cu),
-            np.where(cond, self.resident_wgs, other.resident_wgs),
-            np.where(cond, self.fraction, other.fraction))
-
-
 class DeviceModel:
-    """Closed-form compute timing for one platform's GPU."""
+    """Closed-form compute timing for one platform's GPU.
+
+    Task counts and :class:`~repro.hw.gpu.WgCost` fields may be Python
+    scalars (one scenario) or NumPy columns over a scenario axis.  Each
+    method is one closed form over :mod:`repro.utils.xp`, except the
+    branchy grid balancing of :meth:`persistent_occupancy`, which keeps a
+    scalar and an array body side by side; the two agree bit for bit.
+    """
 
     def __init__(self, platform: Platform):
         self.platform = platform
@@ -85,19 +45,55 @@ class DeviceModel:
         self.hbm = HbmModel(platform.gpu)
         self.base_res: KernelResources = platform.baseline_resources()
         self.fused_res: KernelResources = platform.fused_resources()
+        self._occupancy: dict = {}
 
     # -- occupancy -----------------------------------------------------------
     def occupancy(self, res: KernelResources) -> OccupancyInfo:
-        return occupancy_for(self.spec, res)
+        occ = self._occupancy.get(res)
+        if occ is None:
+            occ = self._occupancy[res] = occupancy_for(self.spec, res)
+        return occ
 
-    def persistent_occupancy(self, res: KernelResources, n_tasks: int,
-                             n_work: Optional[int] = None,
-                             occupancy_limit: Optional[float] = None
+    def persistent_occupancy(self, res: KernelResources, n_tasks,
+                             n_work=None, occupancy_limit=None
                              ) -> OccupancyInfo:
         """Mirror of :class:`~repro.kernels.kernel.PersistentKernel`'s grid
         selection: explicit occupancy limit, or grid-size balancing for
-        short task loops (``n_work`` = work-bearing task count)."""
+        short task loops (``n_work`` = work-bearing task count).
+
+        Over a column of ``n_tasks`` the result holds columns, and
+        ``occupancy_limit`` is a float column where NaN means "no limit"
+        (the scalar ``None``).
+        """
         occ = self.occupancy(res)
+        if isinstance(n_tasks, np.ndarray):
+            n_tasks = np.asarray(n_tasks, np.int64)
+            nw = n_tasks if n_work is None else np.where(
+                n_work == 0, n_tasks, n_work)
+            rounds = np.maximum(1, -(-nw // occ.resident_wgs))
+            balanced = np.minimum(occ.resident_wgs, -(-nw // rounds))
+            occ_b = occ.limited_to(np.where(rounds <= _BALANCE_ROUNDS,
+                                            balanced, occ.resident_wgs))
+            if occupancy_limit is None:
+                return occ_b
+            limit = np.asarray(occupancy_limit, np.float64)
+            has_limit = ~np.isnan(limit)
+            bad = has_limit & ~((0.0 < limit) & (limit <= 1.0))
+            if np.any(bad):
+                raise ValueError(f"occupancy_limit must be in (0, 1], got "
+                                 f"{limit[bad][0]}")
+            # A neutral limit of 1.0 rounds back to resident_wgs (a no-op
+            # clamp), and limited_to(n_tasks) is an identity exactly where
+            # the scalar guard ``n_tasks < resident_wgs`` is false.
+            lim_res = np.maximum(1, np.round(
+                occ.resident_wgs * np.where(has_limit, limit, 1.0)
+            ).astype(np.int64))
+            occ_l = occ.limited_to(lim_res).limited_to(n_tasks)
+            return OccupancyInfo(
+                occ.waves_per_wg,
+                np.where(has_limit, occ_l.wgs_per_cu, occ_b.wgs_per_cu),
+                np.where(has_limit, occ_l.resident_wgs, occ_b.resident_wgs),
+                np.where(has_limit, occ_l.fraction, occ_b.fraction))
         if occupancy_limit is not None:
             if not (0.0 < occupancy_limit <= 1.0):
                 raise ValueError(
@@ -114,146 +110,56 @@ class DeviceModel:
                 occ = occ.limited_to(balanced)
         return occ
 
-    def n_slots(self, occ: OccupancyInfo, n_tasks: int) -> int:
-        return min(occ.resident_wgs, n_tasks)
+    def n_slots(self, occ: OccupancyInfo, n_tasks):
+        return xp_of(occ.resident_wgs, n_tasks).minimum(occ.resident_wgs,
+                                                        n_tasks)
 
     # -- timing --------------------------------------------------------------
-    def wg_time(self, cost: WgCost, occ: OccupancyInfo) -> float:
-        """Roofline duration of one WG (mirror of :meth:`Gpu.wg_duration`)."""
-        resident = max(occ.resident_wgs, 1)
+    def wg_time(self, cost: WgCost, occ: OccupancyInfo):
+        """Roofline duration of one WG (mirror of :meth:`Gpu.wg_duration`).
+        Over a column, rows with zero bytes or flops get ``0 / bw == 0.0``
+        exactly, as the scalar guards give them."""
+        xp = xp_of(cost.bytes, cost.flops, occ.fraction)
+        resident = xp.maximum(occ.resident_wgs, 1)
         mem_time = 0.0
-        if cost.bytes > 0:
+        if xp.any(cost.bytes > 0):
             bw = self.hbm.achieved_bandwidth(occ.fraction,
                                              access=cost.access) / resident
             mem_time = cost.bytes / bw
         flop_time = 0.0
-        if cost.flops > 0:
-            per_wg = self.spec.flop_rate(cost.dtype) / max(resident,
-                                                           self.spec.num_cus)
+        if xp.any(cost.flops > 0):
+            per_wg = self.spec.flop_rate(cost.dtype) / xp.maximum(
+                resident, self.spec.num_cus)
             flop_time = cost.flops / per_wg
-        return max(mem_time, flop_time) + cost.fixed
+        return xp.maximum(mem_time, flop_time) + cost.fixed
 
-    def task_time(self, cost: WgCost, occ: OccupancyInfo,
-                  repeat: int = 1) -> float:
+    def task_time(self, cost: WgCost, occ: OccupancyInfo, repeat=1):
         """One logical-WG task: roofline duration plus dispatch overhead."""
         return repeat * (self.wg_time(cost, occ)
                          + self.spec.wg_dispatch_overhead)
 
-    def bulk_kernel_time(self, n_wgs: int, cost: WgCost,
-                         res: KernelResources) -> float:
+    def bulk_kernel_time(self, n_wgs, cost: WgCost, res: KernelResources):
         """Mirror of :func:`repro.kernels.kernel.bulk_kernel_time`."""
-        if n_wgs < 1:
+        xp = xp_of(n_wgs)
+        if xp.any(n_wgs < 1):
             raise ValueError("n_wgs must be >= 1")
         occ = self.occupancy(res)
-        total = self.spec.kernel_launch_overhead
+        disp = self.spec.wg_dispatch_overhead
         full_rounds, tail = divmod(n_wgs, occ.resident_wgs)
-        if full_rounds:
-            total += full_rounds * (self.wg_time(cost, occ)
-                                    + self.spec.wg_dispatch_overhead)
-        if tail:
-            tail_occ = occ.limited_to(tail)
-            total += (self.wg_time(cost, tail_occ)
-                      + self.spec.wg_dispatch_overhead)
+        total = self.spec.kernel_launch_overhead
+        if xp.any(full_rounds):
+            total = total + full_rounds * (self.wg_time(cost, occ) + disp)
+        if xp.any(tail):
+            tail_occ = occ.limited_to(xp.where(tail > 0, tail,
+                                               occ.resident_wgs))
+            total = total + xp.where(tail > 0,
+                                     self.wg_time(cost, tail_occ) + disp,
+                                     0.0)
         return total
 
     def hbm_bandwidth(self, occupancy: float = 1.0,
                       access: str = "stream") -> float:
         return self.hbm.achieved_bandwidth(occupancy, access=access)
-
-    # -- vectorized twins ----------------------------------------------------
-    # Array-over-the-scenario-axis forms of the methods above.  Costs are
-    # passed as columns (``flops``/``bytes``/``fixed`` arrays; ``dtype`` and
-    # ``access`` uniform over the batch) and occupancies as
-    # :class:`BatchOccupancy`.  Every expression replicates the scalar
-    # method's operation order, so results are elementwise bit-identical —
-    # branches become masks, never approximations.
-
-    def persistent_occupancy_batch(
-            self, res: KernelResources, n_tasks: np.ndarray,
-            n_work: Optional[np.ndarray] = None,
-            occupancy_limit: Optional[np.ndarray] = None) -> BatchOccupancy:
-        """Array twin of :meth:`persistent_occupancy`.
-
-        ``occupancy_limit`` is a float column where NaN means "no limit"
-        (the scalar ``None``); both branches are evaluated on neutralized
-        inputs and selected by that mask.
-        """
-        n_tasks = np.asarray(n_tasks, np.int64)
-        base = self.occupancy(res)
-        occ = BatchOccupancy.broadcast(base, len(n_tasks))
-        if occupancy_limit is None:
-            occupancy_limit = np.full(len(n_tasks), np.nan)
-        limit = np.asarray(occupancy_limit, np.float64)
-        has_limit = ~np.isnan(limit)
-        bad = has_limit & ~((0.0 < limit) & (limit <= 1.0))
-        if np.any(bad):
-            raise ValueError(
-                f"occupancy_limit must be in (0, 1], got "
-                f"{limit[bad][0]}")
-        # Limit branch (neutral limit 1.0 rounds back to resident_wgs, a
-        # no-op clamp; limited_to(n_tasks) is an identity exactly where the
-        # scalar guard ``n_tasks < resident_wgs`` is false).
-        limit_safe = np.where(has_limit, limit, 1.0)
-        lim_res = np.maximum(
-            1, np.round(base.resident_wgs * limit_safe).astype(np.int64))
-        occ_l = occ.limited_to(lim_res).limited_to(n_tasks)
-        # Balance branch (falsy ``n_work`` falls back to ``n_tasks``; rounds
-        # beyond _BALANCE_ROUNDS keep the full grid).
-        if n_work is None:
-            nw = n_tasks
-        else:
-            n_work = np.asarray(n_work, np.int64)
-            nw = np.where(n_work == 0, n_tasks, n_work)
-        rounds = np.maximum(1, -(-nw // base.resident_wgs))
-        balanced = np.minimum(base.resident_wgs, -(-nw // rounds))
-        occ_b = occ.limited_to(
-            np.where(rounds <= _BALANCE_ROUNDS, balanced, base.resident_wgs))
-        return occ_l.where(has_limit, occ_b)
-
-    def n_slots_batch(self, occ: BatchOccupancy,
-                      n_tasks: np.ndarray) -> np.ndarray:
-        return np.minimum(occ.resident_wgs, n_tasks)
-
-    def wg_time_batch(self, flops, bytes_, dtype: str, fixed, access: str,
-                      occ: Union[BatchOccupancy, OccupancyInfo]) -> np.ndarray:
-        """Array twin of :meth:`wg_time`.  ``0 / bw == 0.0`` exactly, so the
-        scalar's ``bytes > 0`` / ``flops > 0`` guards need no masks."""
-        resident = np.maximum(occ.resident_wgs, 1)
-        bw = self.hbm.achieved_bandwidth_batch(
-            np.asarray(occ.fraction, np.float64), access=access) / resident
-        mem_time = np.asarray(bytes_, np.float64) / bw
-        per_wg = self.spec.flop_rate(dtype) / np.maximum(resident,
-                                                         self.spec.num_cus)
-        flop_time = np.asarray(flops, np.float64) / per_wg
-        return np.maximum(mem_time, flop_time) + fixed
-
-    def task_time_batch(self, flops, bytes_, dtype: str, fixed, access: str,
-                        occ: Union[BatchOccupancy, OccupancyInfo],
-                        repeat=1) -> np.ndarray:
-        """Array twin of :meth:`task_time`."""
-        return repeat * (self.wg_time_batch(flops, bytes_, dtype, fixed,
-                                            access, occ)
-                         + self.spec.wg_dispatch_overhead)
-
-    def bulk_kernel_time_batch(self, n_wgs: np.ndarray, flops, bytes_,
-                               dtype: str, fixed, access: str,
-                               res: KernelResources) -> np.ndarray:
-        """Array twin of :meth:`bulk_kernel_time` (tail-round clamp applied
-        through a masked :meth:`BatchOccupancy.limited_to`)."""
-        n_wgs = np.asarray(n_wgs, np.int64)
-        if np.any(n_wgs < 1):
-            raise ValueError("n_wgs must be >= 1")
-        occ = self.occupancy(res)
-        disp = self.spec.wg_dispatch_overhead
-        full_rounds, tail = np.divmod(n_wgs, occ.resident_wgs)
-        wg_full = self.wg_time_batch(flops, bytes_, dtype, fixed, access, occ)
-        tail_occ = BatchOccupancy.broadcast(occ, len(n_wgs)).limited_to(
-            np.where(tail > 0, tail, occ.resident_wgs))
-        wg_tail = self.wg_time_batch(flops, bytes_, dtype, fixed, access,
-                                     tail_occ)
-        total = (self.spec.kernel_launch_overhead
-                 + full_rounds * (wg_full + disp))
-        return total + np.where(tail > 0, wg_tail + disp, 0.0)
 
 
 @lru_cache(maxsize=64)

@@ -7,8 +7,6 @@ vectorized mega-batch engine (:mod:`repro.analytic.batch`) grids of
 objective array in ``O(n log n)`` for two objectives (a sort plus
 prefix-minimum scan) and a sorted frontier-scan for ``k > 2``;
 :func:`pareto_frontier` keeps the historical item-level API on top of it.
-The original all-pairs implementation survives as
-:func:`pareto_frontier_legacy`, the regression oracle.
 
 :func:`refine` adds the first *search-driven* explorer: Pareto-guided
 successive grid refinement over continuous axes (for example the
@@ -31,8 +29,7 @@ from typing import (
 
 import numpy as np
 
-__all__ = ["dominates", "pareto_frontier", "pareto_frontier_legacy",
-           "pareto_mask", "refine"]
+__all__ = ["dominates", "pareto_frontier", "pareto_mask", "refine"]
 
 T = TypeVar("T")
 
@@ -123,20 +120,6 @@ def pareto_frontier(items: Sequence[T],
         raise ValueError("objectives must all have the same length")
     keep = pareto_mask(objs)
     return [it for it, k in zip(items, keep) if k]
-
-
-def pareto_frontier_legacy(items: Sequence[T],
-                           objectives: Callable[[T], Tuple[float, ...]]
-                           ) -> List[T]:
-    """Reference all-pairs ``O(n^2)`` implementation (regression oracle
-    for :func:`pareto_frontier`; prefer the vectorized one)."""
-    objs = [tuple(objectives(it)) for it in items]
-    out: List[T] = []
-    for i, item in enumerate(items):
-        if not any(dominates(objs[j], objs[i]) for j in range(len(items))
-                   if j != i):
-            out.append(item)
-    return out
 
 
 def refine(objective_fn: Callable[[Dict[str, np.ndarray]], np.ndarray],

@@ -3,7 +3,10 @@
 One ``predict_*`` function per scenario runner in
 :mod:`repro.experiments.figures`, each returning the same result mapping
 shape the DES runner produces, so the two backends are interchangeable
-behind the experiment orchestrator.
+behind the experiment orchestrator.  Numeric config fields may also be
+NumPy columns over a scenario axis: every form is written once against
+:mod:`repro.utils.xp`, and :mod:`repro.analytic.batch` calls these same
+functions with columns.
 
 Model structure (per fused operator):
 
@@ -44,6 +47,7 @@ from ..hw.platform import PlatformLike, get_platform
 from ..ops.embedding import embedding_wg_cost
 from ..ops.gemm import gemm_wg_cost
 from ..ops.gemv import gemv_wg_cost
+from ..utils.xp import xp_of
 from .comm import FLAG_BYTES, CommModel
 from .device import DeviceModel, device_model
 
@@ -62,12 +66,25 @@ __all__ = [
 # Shared fused-kernel machinery
 # ---------------------------------------------------------------------------
 
-def _tasks_per_slice(d: DeviceModel, cfg: EmbeddingA2AConfig,
-                     world: int) -> int:
-    """Mirror of ``FusedEmbeddingAllToAll._tasks_per_slice`` (auto split)."""
+def _tasks_per_slice(d: DeviceModel, cfg: EmbeddingA2AConfig, world: int):
+    """Mirror of ``FusedEmbeddingAllToAll._tasks_per_slice`` (auto split):
+    the first divisor in ``(1, 2, 4, 8, 16, 32)`` meeting the 8-rounds
+    target, per scenario over a column."""
+    n_slices = world * cfg.tables_per_gpu * cfg.slices_per_stripe(world)
+    if isinstance(n_slices, np.ndarray):
+        tps = np.broadcast_to(cfg.tasks_per_slice, n_slices.shape)
+        sv = np.broadcast_to(cfg.slice_vectors, n_slices.shape)
+        slots = np.minimum(d.occupancy(d.fused_res).resident_wgs, n_slices)
+        target = np.ceil(8 * slots / n_slices)
+        out = np.where(tps != 0, tps, sv)
+        resolved = tps != 0
+        for div in (1, 2, 4, 8, 16, 32):
+            take = ~resolved & (div >= target) & (sv % div == 0)
+            out[take] = div
+            resolved |= take
+        return out
     if cfg.tasks_per_slice:
         return cfg.tasks_per_slice
-    n_slices = world * cfg.tables_per_gpu * cfg.slices_per_stripe(world)
     occ = d.occupancy(d.fused_res)
     slots = min(occ.resident_wgs, n_slices)
     target = math.ceil(8 * slots / n_slices)
@@ -77,97 +94,48 @@ def _tasks_per_slice(d: DeviceModel, cfg: EmbeddingA2AConfig,
     return cfg.slice_vectors
 
 
-def _occupancy_limit(d: DeviceModel, frac: Optional[float]) -> Optional[float]:
+def _occupancy_limit(d: DeviceModel, frac):
     """Mirror of ``_kernel_occupancy_limit``: the Fig. 13 knob converts a
-    fraction of *baseline* occupancy into the fused kernel's own limit."""
+    fraction of *baseline* occupancy into the fused kernel's own limit.
+    ``None`` means no limit; so does NaN in a column (it passes through)."""
     if frac is None:
         return None
     base = d.occupancy(d.base_res).resident_wgs
     fused = d.occupancy(d.fused_res).resident_wgs
     limit = frac * base / fused
-    if limit > 1.0 + 1e-9:
+    xp = xp_of(limit)
+    bad = limit > 1.0 + 1e-9        # NaN compares False
+    if xp.any(bad):
         raise ValueError(
-            f"occupancy {frac} of baseline exceeds the fused kernel's "
-            f"maximum ({fused / base:.3f} of baseline)")
-    return min(limit, 1.0)
+            f"occupancy {xp.first(frac, bad)} of baseline exceeds the fused "
+            f"kernel's maximum ({fused / base:.3f} of baseline)")
+    return xp.minimum(limit, 1.0)
 
 
-def _overlap_finish(compute_end: float, first_issue: float,
-                    last_issue: float, drain: float, tail: float) -> float:
+def _overlap_finish(compute_end, first_issue, last_issue, drain, tail):
     """Completion time of an overlapped put stream: the channel drains from
     the first computed slice, cannot finish before the last put is issued,
     and the final payload's fenced flag still has to land."""
-    return max(compute_end, max(last_issue, first_issue + drain) + tail)
+    xp = xp_of(compute_end, first_issue, last_issue, drain, tail)
+    return xp.maximum(compute_end,
+                      xp.maximum(last_issue, first_issue + drain) + tail)
 
 
-def _queue_span(total_dur: float, n_tasks: int, slots: int) -> float:
+def _queue_span(total_dur, n_tasks, slots):
     """Makespan of ``n_tasks`` greedily pulled from a shared queue.
 
     ``total_dur / slots`` is the work-conserving lower bound; the last
     round is quantized to whole tasks (the slot executing the final task
     of a non-divisible queue finishes one mean task-duration late), which
     is exact for uniform tasks and the round-robin fast path."""
-    if n_tasks < 1:
+    xp = xp_of(total_dur, n_tasks, slots)
+    ok = n_tasks >= 1
+    if not xp.any(ok):
         return 0.0
-    avg = total_dur / n_tasks
-    return total_dur / slots + avg * (math.ceil(n_tasks / slots)
+    avg = total_dur / xp.maximum(n_tasks, 1)
+    span = total_dur / slots + avg * (xp.ceil(n_tasks / slots)
                                       - n_tasks / slots)
-
-
-# ---------------------------------------------------------------------------
-# Vectorized twins of the shared helpers (scenario-axis arrays; each mirrors
-# its scalar form expression-for-expression so results are bit-identical)
-# ---------------------------------------------------------------------------
-
-def _tasks_per_slice_batch(d: DeviceModel, tables_per_gpu: np.ndarray,
-                           slices_per_stripe: np.ndarray,
-                           slice_vectors: np.ndarray,
-                           tasks_per_slice: np.ndarray,
-                           world: int) -> np.ndarray:
-    """Array twin of :func:`_tasks_per_slice`: the first divisor in
-    ``(1, 2, 4, 8, 16, 32)`` meeting the 8-rounds target, per scenario."""
-    n_slices = world * tables_per_gpu * slices_per_stripe
-    occ = d.occupancy(d.fused_res)
-    slots = np.minimum(occ.resident_wgs, n_slices)
-    target = np.ceil(8 * slots / n_slices)
-    out = np.where(tasks_per_slice != 0, tasks_per_slice, slice_vectors)
-    resolved = tasks_per_slice != 0
-    for div in (1, 2, 4, 8, 16, 32):
-        take = ~resolved & (div >= target) & (slice_vectors % div == 0)
-        out[take] = div
-        resolved |= take
-    return out
-
-
-def _occupancy_limit_batch(d: DeviceModel, frac: np.ndarray) -> np.ndarray:
-    """Array twin of :func:`_occupancy_limit`; ``NaN`` encodes ``None``
-    (no limit) and passes through untouched."""
-    base = d.occupancy(d.base_res).resident_wgs
-    fused = d.occupancy(d.fused_res).resident_wgs
-    limit = frac * base / fused
-    bad = limit > 1.0 + 1e-9        # NaN compares False: None rows pass
-    if np.any(bad):
-        raise ValueError(
-            f"occupancy {float(np.asarray(frac)[bad][0])} of baseline "
-            f"exceeds the fused kernel's maximum "
-            f"({fused / base:.3f} of baseline)")
-    return np.minimum(limit, 1.0)   # NaN propagates (still "no limit")
-
-
-def _overlap_finish_batch(compute_end, first_issue, last_issue,
-                          drain, tail):
-    """Array twin of :func:`_overlap_finish`."""
-    return np.maximum(compute_end,
-                      np.maximum(last_issue, first_issue + drain) + tail)
-
-
-def _queue_span_batch(total_dur, n_tasks, slots):
-    """Array twin of :func:`_queue_span`."""
-    n = np.asarray(n_tasks)
-    ok = n >= 1
-    avg = total_dur / np.where(ok, n, 1)
-    span = total_dur / slots + avg * (np.ceil(n / slots) - n / slots)
-    return np.where(ok, span, 0.0)
+    return xp.where(ok, span, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +153,7 @@ def _embedding_fused_time(num_nodes: int, gpus_per_node: int,
     d = device_model(plat)
     cm = CommModel(plat, num_nodes, gpus_per_node, cpu_proxy=cpu_proxy)
     spec = d.spec
+    xp = xp_of(cfg.global_batch, cfg.tables_per_gpu, cfg.slice_vectors)
 
     T = cfg.tables_per_gpu
     n_s = cfg.slices_per_stripe(world)
@@ -217,7 +186,7 @@ def _embedding_fused_time(num_nodes: int, gpus_per_node: int,
     compute_end = launch + _queue_span(total, n_tasks, slots)
     # First remote slice: its tps pieces run in parallel across slots.
     first_task = dur_same if same_node_remote else dur_base
-    first_issue = launch + first_task * math.ceil(tps / slots)
+    first_issue = launch + first_task * xp.ceil(tps / slots)
     if cfg.scheduler == "comm_aware":
         last_issue = launch + (remote_compute + hook_charge) / slots
     else:
@@ -229,7 +198,7 @@ def _embedding_fused_time(num_nodes: int, gpus_per_node: int,
     if same_node_remote:
         drain = cm.drain_time(msgs * (slice_bytes + FLAG_BYTES), 2 * msgs,
                               remote_node=False)
-        finish = max(finish, _overlap_finish(
+        finish = xp.maximum(finish, _overlap_finish(
             compute_end, first_issue, last_issue, drain,
             cm.signal_tail(slice_bytes, remote_node=False)))
     if other_node:
@@ -249,7 +218,7 @@ def _embedding_fused_time(num_nodes: int, gpus_per_node: int,
             same_total = per_dest_tasks * same_node_remote * dur_same \
                 + same_node_remote * T * n_s * spec.shmem_api_latency
             first_nic = launch + same_total / slots
-        finish = max(finish, _overlap_finish(
+        finish = xp.maximum(finish, _overlap_finish(
             compute_end, first_nic, last_issue, drain,
             cm.signal_tail(slice_bytes, remote_node=True)))
     return {"elapsed": finish, "first_issue": first_issue,
@@ -269,8 +238,8 @@ def _embedding_baseline_time(num_nodes: int, gpus_per_node: int,
     cost = embedding_wg_cost(cfg.pooling, cfg.dim, ITEMSIZE)
     compute = cfg.tables_per_gpu * d.bulk_kernel_time(
         cfg.global_batch, cost, d.base_res)
-    chunk = float(cfg.local_batch(world) * cfg.tables_per_gpu
-                  * cfg.dim * ITEMSIZE)
+    chunk = xp_of(cfg.global_batch, cfg.tables_per_gpu, cfg.dim).asfloat(
+        cfg.local_batch(world) * cfg.tables_per_gpu * cfg.dim * ITEMSIZE)
     return compute + cm.alltoall_time(chunk, algo=cfg.algo)
 
 
@@ -326,6 +295,8 @@ def predict_embedding_grad_a2a(num_nodes: int = 2, gpus_per_node: int = 1,
     d = device_model(plat)
     cm = CommModel(plat, num_nodes, gpus_per_node)
     spec = d.spec
+    xp = xp_of(cfg.global_batch, cfg.tables_per_gpu, cfg.slice_vectors,
+               cfg.dim)
 
     T = cfg.tables_per_gpu
     n_s = cfg.slices_per_stripe(world)
@@ -355,15 +326,15 @@ def predict_embedding_grad_a2a(num_nodes: int = 2, gpus_per_node: int = 1,
     per_channel = n_remote // max(world - 1, 1)
     drain = cm.drain_time(per_channel * (slice_bytes + FLAG_BYTES),
                           2 * per_channel, remote_node=remote_dst)
-    arrival = max(last_issue, first_issue + drain) + cm.signal_tail(
+    arrival = xp.maximum(last_issue, first_issue + drain) + cm.signal_tail(
         slice_bytes, remote_node=remote_dst)
     # Applies sit at the back of the shared queue, so the apply phase pays
     # its own last-round quantization on top of the send phase.
-    finish = max(send_end + _queue_span(apply_total, n_send, slots),
-                 arrival + spec.wg_dispatch_overhead + apply_dur)
+    finish = xp.maximum(send_end + _queue_span(apply_total, n_send, slots),
+                        arrival + spec.wg_dispatch_overhead + apply_dur)
 
     # Baseline: All-to-All kernel, then a bulk scatter-add kernel.
-    chunk = float(cfg.local_batch(world) * T * cfg.dim * ITEMSIZE)
+    chunk = xp.asfloat(cfg.local_batch(world) * T * cfg.dim * ITEMSIZE)
     baseline = (cm.alltoall_time(chunk, algo=cfg.algo)
                 + d.bulk_kernel_time(cfg.global_batch * T,
                                      _scatter_cost(cfg, 1), d.base_res))
@@ -383,6 +354,7 @@ def predict_gemv_allreduce(world: int = 4, platform: PlatformLike = None,
     d = device_model(plat)
     cm = CommModel(plat, num_nodes=1, gpus_per_node=world)
     spec = d.spec
+    xp = xp_of(cfg.m, cfg.n_per_gpu, cfg.tile_rows, cfg.itemsize)
 
     chunk = cfg.chunk_rows(world)
     tiles_per_owner = chunk // cfg.tile_rows
@@ -407,17 +379,17 @@ def predict_gemv_allreduce(world: int = 4, platform: PlatformLike = None,
     partial_ready = launch + t_a + cm.signal_tail(tile_bytes,
                                                   remote_node=False)
 
-    reduce_cost = WgCost(flops=float((world - 1) * cfg.tile_rows),
-                         bytes=float((world + 1) * cfg.tile_rows
-                                     * cfg.itemsize),
+    reduce_cost = WgCost(flops=xp.asfloat((world - 1) * cfg.tile_rows),
+                         bytes=xp.asfloat((world + 1) * cfg.tile_rows
+                                          * cfg.itemsize),
                          dtype="fp32")
     reduce_dur = d.wg_time(reduce_cost, occ)
-    rounds_b = math.ceil(n_b / slots)
+    rounds_b = xp.ceil(n_b / slots)
     t_b = rounds_b * (spec.wg_dispatch_overhead + reduce_dur)
     # All-gather phase: each owner streams its reduced chunk to every peer
     # over dedicated links, finishing with a fenced finalRdy flag.
     bcast_drain = chunk * cfg.itemsize / cm.link.bandwidth
-    fused = (partial_ready + max(t_b, bcast_drain)
+    fused = (partial_ready + xp.maximum(t_b, bcast_drain)
              + cm.signal_tail(tile_bytes, remote_node=False))
 
     # Baseline: bulk GEMV kernel, then RCCL-like direct AllReduce.
@@ -425,7 +397,7 @@ def predict_gemv_allreduce(world: int = 4, platform: PlatformLike = None,
     bulk_cost = WgCost(bulk_cost.flops, bulk_cost.bytes, cfg.flop_dtype, 0.0)
     baseline = (d.bulk_kernel_time(cfg.m // cfg.tile_rows, bulk_cost,
                                    d.base_res)
-                + cm.allreduce_time(float(cfg.m * cfg.itemsize), cfg.m,
+                + cm.allreduce_time(xp.asfloat(cfg.m * cfg.itemsize), cfg.m,
                                     itemsize=cfg.itemsize,
                                     algo=cfg.algo or "direct"))
     return {"fused_time": fused, "baseline_time": baseline}
@@ -481,7 +453,8 @@ def predict_gemm_a2a(world: int = 4, platform: PlatformLike = None,
     bulk_cost = gemm_wg_cost(cfg.block_m, cfg.block_n, cfg.model_dim,
                              itemsize=cfg.itemsize, dtype=cfg.flop_dtype)
     tps = cfg.tokens_per_src(world)
-    chunk = float(tps * cfg.ffn_dim * cfg.itemsize)
+    chunk = xp_of(tps, cfg.ffn_dim, cfg.itemsize).asfloat(
+        tps * cfg.ffn_dim * cfg.itemsize)
     baseline = (d.bulk_kernel_time(n_tasks, bulk_cost, d.base_res)
                 + cm.alltoall_time(chunk, algo=cfg.algo))
     return {"fused_time": fused, "baseline_time": baseline}
@@ -510,25 +483,34 @@ def predict_dlrm_scaleout(num_nodes: int,
     }
 
 
-def predict_wg_timeline(batch: int = 512, tables: int = 32,
+def _wg_timeline_values(batch: int = 512, tables: int = 32,
                         wgs_per_slice: int = 16, timeline_width: int = 100,
                         platform: PlatformLike = None) -> Dict[str, Any]:
-    """Analytic twin of the ``wg_timeline`` runner (Fig. 11).
-
-    Geometry (put count) is exact; kernel span and the put-issue window
-    come from the closed-form queue model.  The per-WG timeline rendering
-    requires the DES trace and is replaced by a pointer to it.
-    """
+    """The numbers behind :func:`predict_wg_timeline` (scalars or
+    columns): kernel span, put-issue window and put count."""
     cfg = EmbeddingA2AConfig(global_batch=batch, tables_per_gpu=tables,
                              functional=False, slice_vectors=wgs_per_slice,
                              tasks_per_slice=wgs_per_slice)
     fused = _embedding_fused_time(2, 1, cfg, platform=platform)
     kspan = fused["elapsed"]
-    first = fused["first_issue"]
-    last = fused["last_issue"]
+    return {"_kernel_time_s": kspan,
+            "_first_put_frac": fused["first_issue"] / kspan,
+            "_last_put_frac": fused["last_issue"] / kspan,
+            "_elapsed_s": kspan,
+            "puts_issued_node0": fused["puts_per_remote_dest"],
+            "first_issue": fused["first_issue"],
+            "last_issue": fused["last_issue"]}
+
+
+def _wg_timeline_record(values: Dict[str, Any]) -> Dict[str, Any]:
+    """One scenario's ``wg_timeline`` result from its
+    :func:`_wg_timeline_values`."""
+    kspan = values["_kernel_time_s"]
+    first = values["first_issue"]
+    last = values["last_issue"]
     return {
         "kernel_time": f"{kspan * 1e3:.3f} ms",
-        "puts_issued_node0": fused["puts_per_remote_dest"],
+        "puts_issued_node0": values["puts_issued_node0"],
         "first_put_at": f"{100 * first / kspan:.1f}% of kernel",
         "last_put_at": f"{100 * last / kspan:.1f}% of kernel",
         "elapsed": f"{kspan * 1e3:.3f} ms",
@@ -539,3 +521,16 @@ def predict_wg_timeline(batch: int = 512, tables: int = 32,
         "_last_put_frac": last / kspan,
         "_elapsed_s": kspan,
     }
+
+
+def predict_wg_timeline(batch: int = 512, tables: int = 32,
+                        wgs_per_slice: int = 16, timeline_width: int = 100,
+                        platform: PlatformLike = None) -> Dict[str, Any]:
+    """Analytic twin of the ``wg_timeline`` runner (Fig. 11).
+
+    Geometry (put count) is exact; kernel span and the put-issue window
+    come from the closed-form queue model.  The per-WG timeline rendering
+    requires the DES trace and is replaced by a pointer to it.
+    """
+    return _wg_timeline_record(_wg_timeline_values(
+        batch, tables, wgs_per_slice, timeline_width, platform))

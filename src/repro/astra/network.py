@@ -11,7 +11,7 @@ bidirectional link per torus direction (4 in 2D), each at 200 Gb/s with
   traffic each physical link carries.  ``alltoall_efficiency`` captures the
   additional loss from many-to-many link contention (calibrated once so the
   128-node DLRM baseline exposes the All-to-All fraction reported for
-  production systems; see DESIGN.md).
+  production systems).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from ..models.configs import TorusNetworkConfig
 __all__ = ["TorusNetwork"]
 
 #: Fraction of per-link bandwidth an all-to-all sustains under many-to-many
-#: contention on a torus (calibration constant, documented in DESIGN.md).
+#: contention on a torus (calibration constant, see the module docstring).
 ALLTOALL_EFFICIENCY = 0.42
 
 

@@ -2,8 +2,8 @@
 
 Each function regenerates the corresponding evaluation artifact on the
 simulated substrate and returns a :class:`~repro.bench.harness.FigureResult`
-whose rows mirror the paper's x-axis configurations.  EXPERIMENTS.md records
-the paper-vs-measured comparison produced from these.
+whose rows mirror the paper's x-axis configurations; its ``render()`` is
+the paper-vs-measured comparison.
 """
 
 from __future__ import annotations

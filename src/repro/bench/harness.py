@@ -3,8 +3,8 @@
 Every figure regeneration boils down to: build a fresh simulated cluster,
 run the fused operator, build another, run the baseline, and report the
 normalized execution time — the paper's y-axis.  :class:`FigureResult`
-carries the series plus the paper's reported aggregate for side-by-side
-comparison in EXPERIMENTS.md.
+carries the series plus the paper's reported aggregate, and
+:meth:`FigureResult.render` prints the two side by side.
 """
 
 from __future__ import annotations

@@ -17,8 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import List, Tuple
 
-import numpy as np
-
+from ..utils.xp import xp_of
 from .base import (
     AllReduceAlgorithm,
     CommTopology,
@@ -29,12 +28,12 @@ __all__ = ["DirectAllReduce", "RingAllReduce", "TreeAllReduce",
            "HierarchicalAllReduce"]
 
 
-def _chunked(nbytes: float, n_elems: int, world: int) -> Tuple[float, int]:
-    return nbytes / world, max(1, n_elems // world)
+def _chunked(nbytes, n_elems, world: int):
+    return nbytes / world, xp_of(n_elems).maximum(1, n_elems // world)
 
 
 def _route_max(cm, topo: CommTopology,
-               sends: List[Tuple[int, int]], nbytes: float) -> float:
+               sends: List[Tuple[int, int]], nbytes):
     """Closed-form duration of one barriered round of point-to-point sends.
 
     Same-node sends ride dedicated directed fabric links (blit-staged,
@@ -50,25 +49,8 @@ def _route_max(cm, topo: CommTopology,
     if off:
         s_max = max(Counter(topo.node_of(s) for s, _d in off).values())
         t_max = max(Counter(topo.node_of(d) for _s, d in off).values())
-        longest = max(longest,
-                      cm.nic_pipeline_time(s_max, nbytes, rx_msgs=t_max))
-    return longest
-
-
-def _route_max_batch(cm, topo: CommTopology,
-                     sends: List[Tuple[int, int]], nbytes: np.ndarray):
-    """Array twin of :func:`_route_max` — the round structure depends only
-    on the (uniform) topology; the chunk size is the scenario column."""
-    longest = 0.0
-    off = [(s, d) for s, d in sends if not topo.same_node(s, d)]
-    if len(off) < len(sends):
-        longest = cm.blit_route_time_batch(nbytes, remote_node=False)
-    if off:
-        s_max = max(Counter(topo.node_of(s) for s, _d in off).values())
-        t_max = max(Counter(topo.node_of(d) for _s, d in off).values())
-        longest = np.maximum(
-            longest, cm.nic_pipeline_time_batch(s_max, nbytes,
-                                                rx_msgs=t_max))
+        longest = xp_of(nbytes).maximum(
+            longest, cm.nic_pipeline_time(s_max, nbytes, rx_msgs=t_max))
     return longest
 
 
@@ -112,26 +94,10 @@ class DirectAllReduce(AllReduceAlgorithm):
         if remote_gpus:
             # Every rank streams a chunk to each off-node peer at once —
             # the same shared-NIC incast shape as the flat All-to-All.
-            phase = max(phase, cm.nic_pipeline_time(
+            phase = xp_of(chunk_bytes).maximum(phase, cm.nic_pipeline_time(
                 topo.gpus_per_node * remote_gpus, chunk_bytes))
         return (cm.launch() + 2 * phase
                 + cm.reduce_time(chunk_elems, world, itemsize))
-
-    def analytic_time_batch(self, cm, topo, nbytes, n_elems, itemsize):
-        world = topo.world
-        if world == 1:
-            return np.full(len(nbytes), cm.launch())
-        chunk_bytes = nbytes / world
-        chunk_elems = np.maximum(1, n_elems // world)
-        phase = 0.0
-        if topo.gpus_per_node > 1:
-            phase = cm.blit_route_time_batch(chunk_bytes, remote_node=False)
-        remote_gpus = world - topo.gpus_per_node
-        if remote_gpus:
-            phase = np.maximum(phase, cm.nic_pipeline_time_batch(
-                topo.gpus_per_node * remote_gpus, chunk_bytes))
-        return (cm.launch() + 2 * phase
-                + cm.reduce_time_batch(chunk_elems, world, itemsize))
 
 
 class RingAllReduce(AllReduceAlgorithm):
@@ -166,17 +132,6 @@ class RingAllReduce(AllReduceAlgorithm):
         sends = [(r, (r + 1) % world) for r in range(world)]
         hop = _route_max(cm, topo, sends, chunk_bytes)
         reduce = cm.reduce_time(chunk_elems, 2, itemsize)
-        return cm.launch() + (world - 1) * (2 * hop + reduce)
-
-    def analytic_time_batch(self, cm, topo, nbytes, n_elems, itemsize):
-        world = topo.world
-        if world == 1:
-            return np.full(len(nbytes), cm.launch())
-        chunk_bytes = nbytes / world
-        chunk_elems = np.maximum(1, n_elems // world)
-        sends = [(r, (r + 1) % world) for r in range(world)]
-        hop = _route_max_batch(cm, topo, sends, chunk_bytes)
-        reduce = cm.reduce_time_batch(chunk_elems, 2, itemsize)
         return cm.launch() + (world - 1) * (2 * hop + reduce)
 
 
@@ -227,17 +182,6 @@ class TreeAllReduce(AllReduceAlgorithm):
         for _d, sends in _tree_rounds(world):
             hop = _route_max(cm, topo, sends, nbytes)
             total += 2 * hop + reduce   # the broadcast mirrors each round
-        return total
-
-    def analytic_time_batch(self, cm, topo, nbytes, n_elems, itemsize):
-        world = topo.world
-        if world == 1:
-            return np.full(len(nbytes), cm.launch())
-        reduce = cm.reduce_time_batch(n_elems, 2, itemsize)
-        total = cm.launch()
-        for _d, sends in _tree_rounds(world):
-            hop = _route_max_batch(cm, topo, sends, nbytes)
-            total = total + (2 * hop + reduce)
         return total
 
 
@@ -311,24 +255,6 @@ class HierarchicalAllReduce(AllReduceAlgorithm):
         hop = cm.blit_route_time(chunk_bytes, remote_node=True)
         reduce = cm.reduce_time(chunk_elems, 2, itemsize)
         total += (topo.num_nodes - 1) * (2 * hop + reduce)
-        return total + fabric_hop
-
-    def analytic_time_batch(self, cm, topo, nbytes, n_elems, itemsize):
-        if topo.num_nodes == 1:
-            return DIRECT.analytic_time_batch(cm, topo, nbytes, n_elems,
-                                              itemsize)
-        if topo.gpus_per_node == 1:
-            return RING.analytic_time_batch(cm, topo, nbytes, n_elems,
-                                            itemsize)
-        fabric_hop = cm.blit_route_time_batch(nbytes, remote_node=False)
-        total = (cm.launch() + fabric_hop
-                 + cm.reduce_time_batch(n_elems, topo.gpus_per_node,
-                                        itemsize))
-        chunk_bytes = nbytes / topo.num_nodes
-        chunk_elems = np.maximum(1, n_elems // topo.num_nodes)
-        hop = cm.blit_route_time_batch(chunk_bytes, remote_node=True)
-        reduce = cm.reduce_time_batch(chunk_elems, 2, itemsize)
-        total = total + (topo.num_nodes - 1) * (2 * hop + reduce)
         return total + fabric_hop
 
 

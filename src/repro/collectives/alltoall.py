@@ -10,8 +10,7 @@ chunks at once, so a node's off-node chunks pile into the shared NIC.
 
 from __future__ import annotations
 
-import numpy as np
-
+from ..utils.xp import xp_of
 from .base import (
     AllToAllAlgorithm,
     CommTopology,
@@ -51,25 +50,14 @@ class FlatAllToAll(AllToAllAlgorithm):
     def analytic_time(self, cm, topo, chunk_bytes):
         if topo.world == 1:
             return cm.launch() + cm.local_copy_time(chunk_bytes)
+        xp = xp_of(chunk_bytes)
         longest = cm.local_copy_time(chunk_bytes)
         if topo.gpus_per_node > 1:
-            longest = max(longest, cm.blit_route_time(chunk_bytes, False))
+            longest = xp.maximum(longest,
+                                 cm.blit_route_time(chunk_bytes, False))
         remote_gpus = topo.world - topo.gpus_per_node
         if remote_gpus:
-            longest = max(longest, cm.nic_pipeline_time(
-                topo.gpus_per_node * remote_gpus, chunk_bytes))
-        return cm.launch() + longest
-
-    def analytic_time_batch(self, cm, topo, chunk_bytes):
-        if topo.world == 1:
-            return cm.launch() + cm.local_copy_time_batch(chunk_bytes)
-        longest = cm.local_copy_time_batch(chunk_bytes)
-        if topo.gpus_per_node > 1:
-            longest = np.maximum(
-                longest, cm.blit_route_time_batch(chunk_bytes, False))
-        remote_gpus = topo.world - topo.gpus_per_node
-        if remote_gpus:
-            longest = np.maximum(longest, cm.nic_pipeline_time_batch(
+            longest = xp.maximum(longest, cm.nic_pipeline_time(
                 topo.gpus_per_node * remote_gpus, chunk_bytes))
         return cm.launch() + longest
 
@@ -122,22 +110,9 @@ class PairwiseAllToAll(AllToAllAlgorithm):
             if same:
                 longest = cm.blit_route_time(chunk_bytes, False)
             if off:
-                longest = max(longest,
-                              cm.nic_pipeline_time(off, chunk_bytes))
+                longest = xp_of(chunk_bytes).maximum(
+                    longest, cm.nic_pipeline_time(off, chunk_bytes))
             total += longest
-        return total
-
-    def analytic_time_batch(self, cm, topo, chunk_bytes):
-        total = cm.launch() + cm.local_copy_time_batch(chunk_bytes)
-        for k in range(1, topo.world):
-            same, off = _pairwise_round_counts(topo, k)
-            longest = 0.0
-            if same:
-                longest = cm.blit_route_time_batch(chunk_bytes, False)
-            if off:
-                longest = np.maximum(longest, cm.nic_pipeline_time_batch(
-                    off, chunk_bytes))
-            total = total + longest
         return total
 
 
@@ -190,21 +165,11 @@ class HierarchicalAllToAll(AllToAllAlgorithm):
             return FLAT.analytic_time(cm, topo, chunk_bytes)
         staged = topo.num_nodes * chunk_bytes
         bundled = topo.gpus_per_node * chunk_bytes
-        stage1 = max(cm.local_copy_time(chunk_bytes),
-                     cm.blit_route_time(staged, False))
+        stage1 = xp_of(chunk_bytes).maximum(
+            cm.local_copy_time(chunk_bytes),
+            cm.blit_route_time(staged, False))
         n_msgs = topo.gpus_per_node * (topo.num_nodes - 1)
         return cm.launch() + stage1 + cm.nic_pipeline_time(n_msgs, bundled)
-
-    def analytic_time_batch(self, cm, topo, chunk_bytes):
-        if topo.num_nodes == 1 or topo.gpus_per_node == 1:
-            return FLAT.analytic_time_batch(cm, topo, chunk_bytes)
-        staged = topo.num_nodes * chunk_bytes
-        bundled = topo.gpus_per_node * chunk_bytes
-        stage1 = np.maximum(cm.local_copy_time_batch(chunk_bytes),
-                            cm.blit_route_time_batch(staged, False))
-        n_msgs = topo.gpus_per_node * (topo.num_nodes - 1)
-        return (cm.launch() + stage1
-                + cm.nic_pipeline_time_batch(n_msgs, bundled))
 
 
 FLAT = register_alltoall(FlatAllToAll())

@@ -13,7 +13,8 @@ structural model:
 * ``analytic_time(cm, topo, ...)`` — the closed form the analytic
   backend's :class:`~repro.analytic.comm.CommModel` evaluates, mirroring
   the DES schedule round for round (lock-stepped schedules agree exactly;
-  the per-algorithm equivalence tests pin this).
+  the per-algorithm equivalence tests pin this).  Sizes may be scalars
+  or NumPy columns over a scenario axis (:mod:`repro.utils.xp`).
 
 Algorithms register by name at import time; ``"auto"`` resolves through
 the size/topology selector below, and ``None`` resolves to the legacy
@@ -25,6 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
+
+from ..utils.xp import xp_of
 
 __all__ = [
     "AUTO",
@@ -253,12 +256,13 @@ def select_allreduce(topo: CommTopology, nbytes: float) -> str:
       ``log2(p)``-step tree;
     * large payloads are bandwidth-bound, where the ring's ``2(p-1)``
       ``n/p`` chunks are optimal and staging buys nothing.
+
+    Over a column of sizes the names come back as a column.
     """
     if topo.num_nodes == 1:
         return "direct"
-    if nbytes <= TREE_MAX_BYTES:
-        return "hier" if topo.gpus_per_node > 1 else "tree"
-    return "ring"
+    staged = "hier" if topo.gpus_per_node > 1 else "tree"
+    return xp_of(nbytes).where(nbytes <= TREE_MAX_BYTES, staged, "ring")
 
 
 def select_alltoall(topo: CommTopology, chunk_bytes: float) -> str:
@@ -271,12 +275,14 @@ def select_alltoall(topo: CommTopology, chunk_bytes: float) -> str:
       there are fabric peers, else serialize pairwise rounds;
     * large chunks are wire-bound, where flat's full-incast pipeline
       already saturates the NIC and staging only adds a fabric hop.
+
+    Over a column of sizes the names come back as a column.
     """
     if topo.num_nodes == 1:
         return "flat"
-    if chunk_bytes <= PAIRWISE_MAX_BYTES:
-        return "hier" if topo.gpus_per_node > 1 else "pairwise"
-    return "flat"
+    staged = "hier" if topo.gpus_per_node > 1 else "pairwise"
+    return xp_of(chunk_bytes).where(chunk_bytes <= PAIRWISE_MAX_BYTES,
+                                    staged, "flat")
 
 
 def _resolve(kind: str, name: Optional[str], topo: CommTopology,

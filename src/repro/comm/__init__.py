@@ -1,13 +1,5 @@
 """Communication substrate: symmetric heap, SHMEM API, collectives."""
 
-from .algorithms import (
-    allgather_time,
-    alltoall_time,
-    direct_allreduce_time,
-    reduce_scatter_time,
-    ring_allreduce_time,
-    ring_schedule,
-)
 from .collectives import CollectiveLibrary
 from .runtime import Communicator
 from .shmem import FlagArray, ShmemContext
@@ -21,10 +13,4 @@ __all__ = [
     "ShmemContext",
     "SymmetricBuffer",
     "SymmetricHeap",
-    "allgather_time",
-    "alltoall_time",
-    "direct_allreduce_time",
-    "reduce_scatter_time",
-    "ring_allreduce_time",
-    "ring_schedule",
 ]

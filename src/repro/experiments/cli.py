@@ -13,7 +13,7 @@ Subcommands::
     trace SWEEP [SWEEP...]    export a Chrome/Perfetto trace (--out FILE)
     stats SWEEP [SWEEP...]    run with live metrics; print the registry
     lint [--json]             static invariant checks (determinism,
-                              mirror parity, hot-path guards, ...)
+                              hot-path guards, param compat, ...)
 
 ``run``/``report`` share the cache flags: ``--cache DIR`` (default
 ``.repro-cache``), ``--no-cache``, ``--force``.  ``run all`` runs every
@@ -511,8 +511,8 @@ def build_parser() -> argparse.ArgumentParser:
     from ..lint.cli import build_parser as build_lint_parser
     p_lint = sub.add_parser(
         "lint",
-        help="statically enforce the repo's determinism, mirror-parity, "
-             "and hot-path contracts")
+        help="statically enforce the repo's determinism, hot-path, "
+             "parameter and registry contracts")
     build_lint_parser(p_lint)
     p_lint.set_defaults(fn=_cmd_lint)
 

@@ -119,7 +119,7 @@ def _run_batch_misses(sweep: SweepSpec, misses: List[int],
     engine did not cover (they fall through to the pool/serial path).
 
     Only scenarios pinned to the analytic backend are eligible — the
-    batch twins are pinned bit-identical to the scalar closed forms, so
+    batch engine runs the scalar closed forms themselves over columns, so
     records, store keys, and downstream reports are unchanged; this is
     purely an execution strategy.
     """

@@ -38,9 +38,9 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..comm.shmem import FlagArray
-from ..hw.gpu import WgCost
 from ..kernels import PersistentKernel, WgTask, bulk_kernel_time, get_scheduler
 from ..ops.embedding import embedding_pooling, embedding_wg_cost
+from ..utils.xp import xp_of
 from .base import (
     OpHarness,
     baseline_kernel_resources,
@@ -79,20 +79,27 @@ class EmbeddingA2AConfig:
     seed: int = 0
 
     def validate(self, world: int) -> None:
+        """Reject invalid configs; numeric fields may be columns over a
+        scenario axis (the analytic backend), and the message then names
+        the first offending row."""
         from ..collectives import check_algo
         check_algo("alltoall", self.algo)
-        if self.global_batch < 1 or self.tables_per_gpu < 1:
+        tps, sv = self.tasks_per_slice, self.slice_vectors
+        xp = xp_of(self.global_batch, self.tables_per_gpu, sv, tps)
+        if xp.any((self.global_batch < 1) | (self.tables_per_gpu < 1)):
             raise ValueError("batch and tables must be >= 1")
-        if self.global_batch % world:
+        bad = self.global_batch % world != 0
+        if xp.any(bad):
             raise ValueError(
-                f"global_batch {self.global_batch} not divisible by "
-                f"world {world}")
+                f"global_batch {xp.first(self.global_batch, bad)} not "
+                f"divisible by world {world}")
         local = self.global_batch // world
-        if local % self.slice_vectors:
+        bad = local % sv != 0
+        if xp.any(bad):
             raise ValueError(
-                f"local batch {local} not divisible by slice_vectors "
-                f"{self.slice_vectors}")
-        if self.tasks_per_slice and self.slice_vectors % self.tasks_per_slice:
+                f"local batch {xp.first(local, bad)} not divisible by "
+                f"slice_vectors {xp.first(sv, bad)}")
+        if xp.any((tps != 0) & (sv % xp.where(tps != 0, tps, 1) != 0)):
             raise ValueError("slice_vectors must be divisible by tasks_per_slice")
         if self.pooling_mode not in ("sum", "mean"):
             raise ValueError(f"bad pooling mode {self.pooling_mode!r}")
@@ -105,7 +112,8 @@ class EmbeddingA2AConfig:
         return self.local_batch(world) // self.slice_vectors
 
     def slice_bytes(self) -> float:
-        return float(self.slice_vectors * self.dim * ITEMSIZE)
+        return xp_of(self.slice_vectors, self.dim).asfloat(
+            self.slice_vectors * self.dim * ITEMSIZE)
 
     @property
     def label(self) -> str:

@@ -29,6 +29,7 @@ from ..frameworks.triton import build_tasks, jit, tl
 from ..hw.gpu import WgCost
 from ..kernels import PersistentKernel, bulk_kernel_time, get_scheduler
 from ..ops.gemm import gemm_wg_cost
+from ..utils.xp import xp_of
 from .base import (
     OpHarness,
     baseline_kernel_resources,
@@ -62,24 +63,33 @@ class GemmA2AConfig:
     seed: int = 0
 
     def validate(self, world: int) -> None:
+        """Reject invalid configs; numeric fields may be columns over a
+        scenario axis (the analytic backend), and the message then names
+        the first offending row."""
         from ..collectives import check_algo
         check_algo("alltoall", self.algo)
-        if min(self.tokens, self.model_dim, self.ffn_dim) < 1:
+        xp = xp_of(self.tokens, self.model_dim, self.ffn_dim, self.block_m,
+                   self.block_n)
+        if xp.any((self.tokens < 1) | (self.model_dim < 1)
+                  | (self.ffn_dim < 1)):
             raise ValueError("all GEMM dims must be >= 1")
-        if self.tokens % (world * self.block_m):
+        bad = self.tokens % (world * self.block_m) != 0
+        if xp.any(bad):
             raise ValueError(
-                f"tokens={self.tokens} must divide into world*block_m="
-                f"{world * self.block_m}")
-        if self.ffn_dim % self.block_n:
+                f"tokens={xp.first(self.tokens, bad)} must divide into "
+                f"world*block_m={xp.first(world * self.block_m, bad)}")
+        bad = self.ffn_dim % self.block_n != 0
+        if xp.any(bad):
             raise ValueError(
-                f"ffn_dim={self.ffn_dim} must be divisible by block_n="
-                f"{self.block_n}")
+                f"ffn_dim={xp.first(self.ffn_dim, bad)} must be divisible "
+                f"by block_n={xp.first(self.block_n, bad)}")
 
     def tokens_per_src(self, world: int) -> int:
         return self.tokens // world
 
     def tile_wire_bytes(self) -> float:
-        return float(self.block_m * self.block_n * self.itemsize)
+        return xp_of(self.block_m, self.block_n, self.itemsize).asfloat(
+            self.block_m * self.block_n * self.itemsize)
 
     @property
     def label(self) -> str:

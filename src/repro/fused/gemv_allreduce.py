@@ -38,6 +38,7 @@ import numpy as np
 from ..hw.gpu import WgCost
 from ..kernels import PersistentKernel, WgTask, bulk_kernel_time, get_scheduler
 from ..ops.gemv import gemv, gemv_wg_cost, split_tiles
+from ..utils.xp import xp_of
 from .base import (
     OpHarness,
     baseline_kernel_resources,
@@ -69,20 +70,26 @@ class GemvAllReduceConfig:
     seed: int = 0
 
     def validate(self, world: int) -> None:
+        """Reject invalid configs; numeric fields may be columns over a
+        scenario axis (the analytic backend), and the message then names
+        the first offending row."""
         from ..collectives import check_algo
         check_algo("allreduce", self.algo)
-        if self.m < 1 or self.n_per_gpu < 1:
+        xp = xp_of(self.m, self.n_per_gpu, self.tile_rows)
+        if xp.any((self.m < 1) | (self.n_per_gpu < 1)):
             raise ValueError("m and n_per_gpu must be >= 1")
-        if self.m % (world * self.tile_rows):
+        bad = self.m % (world * self.tile_rows) != 0
+        if xp.any(bad):
             raise ValueError(
-                f"m={self.m} must be divisible by world*tile_rows="
-                f"{world * self.tile_rows}")
+                f"m={xp.first(self.m, bad)} must be divisible by "
+                f"world*tile_rows={xp.first(world * self.tile_rows, bad)}")
 
     def chunk_rows(self, world: int) -> int:
         return self.m // world
 
     def tile_bytes(self) -> float:
-        return float(self.tile_rows * self.itemsize)
+        return xp_of(self.tile_rows, self.itemsize).asfloat(
+            self.tile_rows * self.itemsize)
 
     @property
     def label(self) -> str:

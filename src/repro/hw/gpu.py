@@ -19,7 +19,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from ..sim import NULL_TRACE, Simulator, TraceRecorder
+from ..utils.xp import NP, xp_of
 from .memory import HbmModel
 from .specs import GpuSpec
 
@@ -49,7 +52,11 @@ class WgCost:
     access: str = "stream"
 
     def __post_init__(self):
-        if self.flops < 0 or self.bytes < 0 or self.fixed < 0:
+        # flops/bytes may be columns over a scenario axis (repro.analytic);
+        # on scalars ``bad`` is a plain bool, so a valid cost (the DES
+        # builds one per task) never pays for np.any.
+        bad = (self.flops < 0) | (self.bytes < 0) | (self.fixed < 0)
+        if bad is not False and np.any(bad):
             raise ValueError("WgCost components must be non-negative")
         if self.access not in ("stream", "gather"):
             raise ValueError(f"unknown access pattern {self.access!r}")
@@ -90,7 +97,25 @@ class OccupancyInfo:
     fraction: float         #: resident waves / device wave slots
 
     def limited_to(self, max_resident: int) -> "OccupancyInfo":
-        """Clamp resident WGs (persistent kernels choose their grid size)."""
+        """Clamp resident WGs (persistent kernels choose their grid size).
+
+        ``max_resident`` may be a column over a scenario axis (and so may
+        this info's fields): the clamp then applies elementwise, exactly
+        where ``max_resident < resident_wgs`` as in the scalar body.
+        """
+        if xp_of(max_resident, self.resident_wgs) is NP:
+            max_resident = np.asarray(max_resident, np.int64)
+            if np.any(max_resident < 1):
+                raise ValueError("max_resident must be >= 1")
+            apply = max_resident < self.resident_wgs
+            wgs_per_cu = np.maximum(1, self.wgs_per_cu * max_resident
+                                    // self.resident_wgs)
+            frac = self.fraction * max_resident / self.resident_wgs
+            return OccupancyInfo(
+                self.waves_per_wg,
+                np.where(apply, wgs_per_cu, self.wgs_per_cu),
+                np.where(apply, max_resident, self.resident_wgs),
+                np.where(apply, frac, self.fraction))
         if max_resident < 1:
             raise ValueError("max_resident must be >= 1")
         if max_resident >= self.resident_wgs:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..utils.xp import xp_of
 from .specs import GpuSpec
 
 __all__ = ["HbmModel"]
@@ -72,8 +73,24 @@ class HbmModel:
         # spec, so memoize on (occupancy, access).
         self._bw_cache: dict = {}
 
-    def efficiency(self, occupancy: float) -> float:
-        """Piecewise-linear DRAM efficiency at the given occupancy."""
+    def efficiency(self, occupancy):
+        """Piecewise-linear DRAM efficiency at the given occupancy (a
+        fraction, or a column of them)."""
+        if isinstance(occupancy, np.ndarray):
+            o = np.minimum(np.maximum(occupancy, 0.0), 1.0)
+            xs, ys = self._xs, self._ys
+            # First segment whose right endpoint satisfies ``o <= x1`` —
+            # the segment the scalar loop below stops at.
+            seg = np.searchsorted(xs[1:], o, side="left")
+            overflow = seg >= len(xs) - 1      # o beyond the table's last x
+            seg = np.minimum(seg, len(xs) - 2)
+            x0, x1 = xs[seg], xs[seg + 1]
+            y0, y1 = ys[seg], ys[seg + 1]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = (o - x0) / (x1 - x0)
+                out = y0 + t * (y1 - y0)
+            out = np.where(x1 == x0, y1, out)  # degenerate segment -> y1
+            return np.where(overflow, ys[-1], out)
         o = min(max(occupancy, 0.0), 1.0)
         pts = self._points
         for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
@@ -84,14 +101,15 @@ class HbmModel:
                 return y0 + t * (y1 - y0)
         return pts[-1][1]
 
-    def concurrency_ramp(self, occupancy: float) -> float:
+    def concurrency_ramp(self, occupancy):
         """Fraction of peak reachable given in-flight stream count."""
-        o = min(max(occupancy, 0.0), 1.0)
-        return min(self.spec.hbm_concurrency * o, 1.0)
+        xp = xp_of(occupancy)
+        o = xp.minimum(xp.maximum(occupancy, 0.0), 1.0)
+        return xp.minimum(self.spec.hbm_concurrency * o, 1.0)
 
-    def achieved_bandwidth(self, occupancy: float,
-                           access: str = "stream") -> float:
-        """Achievable HBM bytes/s at the given occupancy fraction.
+    def achieved_bandwidth(self, occupancy, access: str = "stream"):
+        """Achievable HBM bytes/s at the given occupancy fraction (or
+        column of fractions; ``access`` is uniform).
 
         The concurrency ramp applies to every kernel.  The contention knee
         applies to ``access="gather"`` traffic only: data-dependent lookups
@@ -107,50 +125,19 @@ class HbmModel:
         throughput, so the fused kernels' register-pressure occupancy loss
         "does not degrade performance".
         """
-        key = (occupancy, access)
-        cached = self._bw_cache.get(key)
-        if cached is not None:
-            return cached
+        scalar = not isinstance(occupancy, np.ndarray)
+        if scalar:
+            key = (occupancy, access)
+            cached = self._bw_cache.get(key)
+            if cached is not None:
+                return cached
         if access not in ("stream", "gather"):
             raise ValueError(f"unknown access pattern {access!r}")
         eff = self.efficiency(occupancy) if access == "gather" else 1.0
         bw = self.spec.hbm_bandwidth * self.concurrency_ramp(occupancy) * eff
-        self._bw_cache[key] = bw
+        if scalar:
+            self._bw_cache[key] = bw
         return bw
-
-    # -- vectorized twins (scenario-axis arrays; bit-identical to the scalar
-    # -- forms above: same clamp, segment choice, and interpolation order) ----
-    def efficiency_batch(self, occupancy: np.ndarray) -> np.ndarray:
-        """Array twin of :meth:`efficiency` (elementwise bit-identical)."""
-        o = np.minimum(np.maximum(np.asarray(occupancy, np.float64), 0.0), 1.0)
-        xs, ys = self._xs, self._ys
-        # First segment whose right endpoint satisfies ``o <= x1`` — the
-        # segment the scalar loop stops at.
-        seg = np.searchsorted(xs[1:], o, side="left")
-        overflow = seg >= len(xs) - 1          # o beyond the table's last x
-        seg = np.minimum(seg, len(xs) - 2)
-        x0, x1 = xs[seg], xs[seg + 1]
-        y0, y1 = ys[seg], ys[seg + 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = (o - x0) / (x1 - x0)
-            out = y0 + t * (y1 - y0)
-        out = np.where(x1 == x0, y1, out)      # degenerate segment -> y1
-        return np.where(overflow, ys[-1], out)
-
-    def concurrency_ramp_batch(self, occupancy: np.ndarray) -> np.ndarray:
-        """Array twin of :meth:`concurrency_ramp`."""
-        o = np.minimum(np.maximum(np.asarray(occupancy, np.float64), 0.0), 1.0)
-        return np.minimum(self.spec.hbm_concurrency * o, 1.0)
-
-    def achieved_bandwidth_batch(self, occupancy: np.ndarray,
-                                 access: str = "stream") -> np.ndarray:
-        """Array twin of :meth:`achieved_bandwidth` (``access`` is uniform
-        over the batch; multiplying streams by ``eff = 1.0`` is exact)."""
-        if access not in ("stream", "gather"):
-            raise ValueError(f"unknown access pattern {access!r}")
-        o = np.asarray(occupancy, np.float64)
-        eff = self.efficiency_batch(o) if access == "gather" else 1.0
-        return self.spec.hbm_bandwidth * self.concurrency_ramp_batch(o) * eff
 
     def best_occupancy(self, samples: int = 200,
                        access: str = "gather") -> float:

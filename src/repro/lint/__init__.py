@@ -15,19 +15,15 @@ from .core import (
     lint_rule,
     run_lint,
 )
-from .fingerprint import MANIFEST_RELPATH, Manifest, fingerprint
 
 __all__ = [
     "Finding",
     "LintContext",
-    "MANIFEST_RELPATH",
-    "Manifest",
     "RULES",
     "Rule",
     "SourceFile",
     "collect_files",
     "detect_root",
-    "fingerprint",
     "lint_rule",
     "run_lint",
 ]

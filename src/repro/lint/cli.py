@@ -14,7 +14,7 @@ missing tree).  ``--json`` emits the machine-readable findings document
          "rule": "determinism", "message": "..."},
         ...
       ],
-      "notes": ["mirror-parity: blessed new mirror ...", ...]
+      "notes": []                              // rule notes, if any
     }
 
 Findings are sorted by (file, line, rule, message) and paths are
@@ -42,17 +42,13 @@ def build_parser(parser: Optional[argparse.ArgumentParser] = None
         parser = argparse.ArgumentParser(
             prog="repro lint",
             description="statically enforce the repo's determinism, "
-                        "mirror-parity, and hot-path contracts")
+                        "hot-path, parameter and registry contracts")
     parser.add_argument(
         "--json", action="store_true", dest="as_json",
         help="emit the repro.lint.findings/v1 JSON document")
     parser.add_argument(
         "--rules", default=None, metavar="a,b",
         help="comma-separated rule ids to run (default: all)")
-    parser.add_argument(
-        "--update-manifest", action="store_true",
-        help="re-bless the mirror-parity fingerprint manifest from the "
-             "current tree instead of checking against it")
     parser.add_argument(
         "--root", default=None, metavar="DIR",
         help="lint this tree instead of the installed repo root")
@@ -75,8 +71,7 @@ def run(args: argparse.Namespace) -> int:
     root = Path(args.root) if args.root else None
 
     try:
-        findings, ctx = run_lint(root=root, rules=rules,
-                                 update_manifest=args.update_manifest)
+        findings, ctx = run_lint(root=root, rules=rules)
     except (KeyError, FileNotFoundError, ValueError) as exc:
         msg = exc.args[0] if exc.args else str(exc)
         print(f"repro lint: {msg}", file=sys.stderr)

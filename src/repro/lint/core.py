@@ -3,10 +3,9 @@
 The linter is a purpose-built AST checker (stdlib :mod:`ast` only) that
 statically enforces the repo's cross-cutting contracts *before* the
 runtime byte-compare suites get a chance to catch drift: determinism of
-everything that feeds cache keys and reports, scalar/batch mirror parity
-in the analytic engine, ``.enabled`` guards around observability calls in
-hot loops, the absence-means-legacy rule for scenario parameters, and
-registry/layering integrity.
+everything that feeds cache keys and reports, ``.enabled`` guards around
+observability calls in hot loops, the absence-means-legacy rule for
+scenario parameters, and registry/layering integrity.
 
 Findings are structured (file, line, rule, message) and deterministic:
 repo-relative POSIX paths, sorted by (file, line, rule, message), so two
@@ -138,8 +137,7 @@ class LintContext:
 
     root: Path
     files: List[SourceFile]
-    update_manifest: bool = False
-    #: human-readable notes emitted by ``--update-manifest`` runs
+    #: human-readable notes a rule attaches to the run (not findings)
     notes: List[str] = field(default_factory=list)
 
     def files_under(self, *prefixes: str,
@@ -211,24 +209,21 @@ def _ensure_rules_loaded() -> None:
     """Import the built-in rule modules (registration side effect)."""
     from . import rules_determinism  # noqa: F401
     from . import rules_hotpath  # noqa: F401
-    from . import rules_mirror  # noqa: F401
     from . import rules_params  # noqa: F401
     from . import rules_registry  # noqa: F401
 
 
 def run_lint(root: Optional[Path] = None,
-             rules: Optional[Iterable[str]] = None,
-             update_manifest: bool = False
+             rules: Optional[Iterable[str]] = None
              ) -> Tuple[List[Finding], LintContext]:
     """Run the selected rules (default: all) over ``root``'s tree.
 
     Returns the suppression-filtered, deterministically sorted findings
-    plus the context (whose ``notes`` carry ``--update-manifest`` output).
+    plus the context.
     """
     _ensure_rules_loaded()
     root = detect_root() if root is None else Path(root).resolve()
-    ctx = LintContext(root=root, files=collect_files(root),
-                      update_manifest=update_manifest)
+    ctx = LintContext(root=root, files=collect_files(root))
     selected = sorted(RULES) if rules is None else list(rules)
     unknown = [r for r in selected if r not in RULES]
     if unknown:

@@ -14,6 +14,7 @@ from typing import Literal
 import numpy as np
 
 from ..hw.gpu import WgCost
+from ..utils.xp import xp_of
 
 __all__ = ["embedding_pooling", "embedding_wg_cost", "embedding_table_bytes"]
 
@@ -56,10 +57,11 @@ def embedding_wg_cost(pooling: int, dim: int, itemsize: int = 4) -> WgCost:
     modern GPU, and its data-dependent row gathers pay the high-occupancy
     DRAM contention knee (``access="gather"``; paper Fig. 13).
     """
-    if pooling < 1 or dim < 1:
+    xp = xp_of(pooling, dim)
+    if xp.any((pooling < 1) | (dim < 1)):
         raise ValueError("pooling and dim must be >= 1")
-    bytes_moved = float((pooling + 1) * dim * itemsize)
-    flops = float(pooling * dim)
+    bytes_moved = xp.asfloat((pooling + 1) * dim * itemsize)
+    flops = xp.asfloat(pooling * dim)
     return WgCost(flops=flops, bytes=bytes_moved, dtype="fp32",
                   access="gather")
 

@@ -14,6 +14,7 @@ from typing import List, Tuple
 import numpy as np
 
 from ..hw.gpu import WgCost
+from ..utils.xp import xp_of
 from .gemv import split_tiles
 
 __all__ = ["gemm", "gemm_wg_cost", "gemm_tile_grid"]
@@ -39,9 +40,10 @@ def gemm_tile_grid(m: int, n: int, block_m: int = 128,
 def gemm_wg_cost(block_m: int, block_n: int, k: int,
                  itemsize: int = 4, dtype: str = "fp32") -> WgCost:
     """Cost of one WG computing a ``block_m x block_n`` output tile."""
-    if block_m < 1 or block_n < 1 or k < 1:
+    xp = xp_of(block_m, block_n, k, itemsize)
+    if xp.any((block_m < 1) | (block_n < 1) | (k < 1)):
         raise ValueError("tile dims and k must be >= 1")
-    bytes_moved = float((k * (block_m + block_n)
-                         + block_m * block_n) * itemsize)
+    bytes_moved = xp.asfloat((k * (block_m + block_n)
+                              + block_m * block_n) * itemsize)
     flops = 2.0 * block_m * block_n * k
     return WgCost(flops=flops, bytes=bytes_moved, dtype=dtype)

@@ -14,6 +14,7 @@ from typing import List, Tuple
 import numpy as np
 
 from ..hw.gpu import WgCost
+from ..utils.xp import xp_of
 
 __all__ = ["gemv", "gemv_wg_cost", "split_tiles"]
 
@@ -46,8 +47,10 @@ def gemv_wg_cost(tile_rows: int, n_cols: int, itemsize: int = 4) -> WgCost:
     (amortized across WGs sharing it via cache — charged once per tile),
     writes the tile, and performs a multiply-add per weight element.
     """
-    if tile_rows < 1 or n_cols < 1:
+    xp = xp_of(tile_rows, n_cols, itemsize)
+    if xp.any((tile_rows < 1) | (n_cols < 1)):
         raise ValueError("tile_rows and n_cols must be >= 1")
-    bytes_moved = float((tile_rows * n_cols + n_cols + tile_rows) * itemsize)
+    bytes_moved = xp.asfloat((tile_rows * n_cols + n_cols + tile_rows)
+                             * itemsize)
     flops = 2.0 * tile_rows * n_cols
     return WgCost(flops=flops, bytes=bytes_moved, dtype="fp32")

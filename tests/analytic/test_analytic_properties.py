@@ -163,5 +163,7 @@ def test_collectives_monotone_in_message_size(plat, link_gb, chunk):
     cm = CommModel(plat, num_nodes=1, gpus_per_node=4)
     assert cm.alltoall_time(chunk) > 0
     assert cm.alltoall_time(2 * chunk + 1) >= cm.alltoall_time(chunk)
-    assert (cm.allreduce_direct_time(2 * chunk + 8, max(1, int(chunk)))
-            >= cm.allreduce_direct_time(chunk, max(1, int(chunk // 2) or 1)))
+    assert (cm.allreduce_time(2 * chunk + 8, max(1, int(chunk)),
+                              algo="direct")
+            >= cm.allreduce_time(chunk, max(1, int(chunk // 2) or 1),
+                                 algo="direct"))

@@ -247,17 +247,72 @@ def test_unsupported_runner_returns_none():
 
 
 def test_batch_validation_mirrors_scalar():
-    with pytest.raises(ValueError):
-        evaluate_batch_records("embedding_a2a_pair", [
-            dict(num_nodes=2, gpus_per_node=1, global_batch=513,
-                 tables_per_gpu=8)])
-    with pytest.raises(ValueError):
-        evaluate_batch_records("gemv_allreduce_pair", [
-            dict(world=4, m=100, n_per_gpu=64)])
-    with pytest.raises(ValueError):
-        evaluate_batch_records("embedding_a2a_pair", [
-            dict(num_nodes=2, gpus_per_node=1, global_batch=512,
-                 tables_per_gpu=8, occupancy_of_baseline=2.0)])
+    # One closed form, one validation: the batch engine rejects each bad
+    # input with the scalar path's exact message.
+    bad_inputs = [
+        ("embedding_a2a_pair", predict_embedding_a2a,
+         dict(num_nodes=2, gpus_per_node=1, global_batch=513,
+              tables_per_gpu=8)),
+        ("embedding_a2a_pair", predict_embedding_a2a,
+         dict(num_nodes=2, gpus_per_node=1, global_batch=1000,
+              tables_per_gpu=8)),
+        ("embedding_grad_pair", predict_embedding_grad_a2a,
+         dict(global_batch=512, tables_per_gpu=8, slice_vectors=32,
+              tasks_per_slice=3)),
+        ("gemv_allreduce_pair", predict_gemv_allreduce,
+         dict(world=4, m=100, n_per_gpu=64)),
+        ("gemm_a2a_pair", predict_gemm_a2a,
+         dict(world=4, tokens=1024, model_dim=512, ffn_dim=1000)),
+        ("embedding_a2a_pair", predict_embedding_a2a,
+         dict(num_nodes=2, gpus_per_node=1, global_batch=512,
+              tables_per_gpu=8, occupancy_of_baseline=2.0)),
+    ]
+    for runner, scalar_fn, params in bad_inputs:
+        with pytest.raises(ValueError) as scalar_err:
+            scalar_fn(**params)
+        with pytest.raises(ValueError) as batch_err:
+            evaluate_batch_records(runner, [params])
+        assert str(batch_err.value) == str(scalar_err.value), runner
+
+
+RUNNER_CASES = [
+    ("embedding_a2a_pair", predict_embedding_a2a,
+     dict(num_nodes=2, gpus_per_node=2, global_batch=1024,
+          tables_per_gpu=16, algo="auto", occupancy_of_baseline=0.5)),
+    ("embedding_fused", predict_embedding_fused,
+     dict(global_batch=512, tables_per_gpu=8, cpu_proxy=True)),
+    ("embedding_grad_pair", predict_embedding_grad_a2a,
+     dict(num_nodes=2, gpus_per_node=2, global_batch=512,
+          tables_per_gpu=8)),
+    ("gemv_allreduce_pair", predict_gemv_allreduce,
+     dict(world=4, m=8192, n_per_gpu=1024, algo="auto")),
+    ("gemm_a2a_pair", predict_gemm_a2a,
+     dict(world=4, tokens=1024, model_dim=1024, ffn_dim=1024)),
+    ("dlrm_scaleout", predict_dlrm_scaleout, dict(num_nodes=2)),
+    ("wg_timeline", predict_wg_timeline, dict(batch=256, tables=16)),
+]
+
+
+def _assert_builtin(value, where):
+    # ``type(...) is`` on purpose: NumPy's float64 subclasses float.
+    if isinstance(value, dict):
+        for k, v in value.items():
+            _assert_builtin(v, f"{where}.{k}")
+    else:
+        assert type(value) in (float, int, str), \
+            f"{where} is {type(value).__name__}"
+
+
+@pytest.mark.parametrize("runner,scalar_fn,params", RUNNER_CASES,
+                         ids=[c[0] for c in RUNNER_CASES])
+def test_results_are_builtins(runner, scalar_fn, params):
+    """The scalar ``xp`` backend never leaks NumPy scalars, and batch
+    records convert their columns back to builtins."""
+    _assert_builtin(scalar_fn(**params), f"{runner} scalar")
+    other = {**params, "platform": "h100"}
+    for i, rec in enumerate(evaluate_batch_records(runner,
+                                                   [params, other])):
+        _assert_builtin(rec, f"{runner} batch[{i}]")
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +379,7 @@ def test_grad_batch_equals_scalar_on_random_platforms(
 def test_alltoall_batch_equals_scalar(plat, chunk, nn, gpn, algo):
     cm = CommModel(plat, num_nodes=nn, gpus_per_node=gpn)
     chunks = np.array([0.0, chunk, chunk / 3, 64 * 1024.0, 64 * 1024.0 + 1])
-    got = cm.alltoall_time_batch(chunks, algo=algo)
+    got = cm.alltoall_time(chunks, algo=algo)
     for i, c in enumerate(chunks):
         assert got[i] == cm.alltoall_time(float(c), algo=algo)
 
@@ -338,7 +393,7 @@ def test_allreduce_batch_equals_scalar(plat, elems, nn, gpn, algo):
     cm = CommModel(plat, num_nodes=nn, gpus_per_node=gpn)
     n_elems = np.array([1, elems, max(1, elems // 7), 8 * 1024, 8 * 1024 + 1])
     nbytes = 4.0 * n_elems
-    got = cm.allreduce_time_batch(nbytes, n_elems, itemsize=4, algo=algo)
+    got = cm.allreduce_time(nbytes, n_elems, itemsize=4, algo=algo)
     for i in range(len(n_elems)):
         assert got[i] == cm.allreduce_time(float(nbytes[i]),
                                            int(n_elems[i]), itemsize=4,
@@ -356,8 +411,8 @@ def test_persistent_occupancy_batch_equals_scalar(plat, n_tasks, n_work,
     tasks = np.array([1, 2, n_tasks, n_tasks + 1, 10 * n_tasks])
     work = None if n_work is None else np.full(len(tasks), n_work)
     lim = None if limit is None else np.full(len(tasks), float(limit))
-    occ_b = d.persistent_occupancy_batch(d.fused_res, tasks, n_work=work,
-                                         occupancy_limit=lim)
+    occ_b = d.persistent_occupancy(d.fused_res, tasks, n_work=work,
+                                   occupancy_limit=lim)
     for i, nt in enumerate(tasks):
         occ_s = d.persistent_occupancy(d.fused_res, int(nt),
                                        n_work=n_work,
@@ -378,8 +433,7 @@ def test_bulk_kernel_time_batch_equals_scalar(plat, n_wgs, flops, nbytes,
     from repro.hw.gpu import WgCost
     d = device_model(plat)
     wgs = np.array([1, n_wgs, max(1, n_wgs // 3)])
-    got = d.bulk_kernel_time_batch(wgs, flops, nbytes, "fp32", 0.0, access,
-                                   d.base_res)
     cost = WgCost(flops=flops, bytes=nbytes, dtype="fp32", access=access)
+    got = d.bulk_kernel_time(wgs, cost, d.base_res)
     for i, n in enumerate(wgs):
         assert got[i] == d.bulk_kernel_time(int(n), cost, d.base_res)

@@ -85,7 +85,8 @@ def test_allreduce_direct_matches_des_collective(world, n_elems):
         nbytes, n_elems, itemsize=2, algorithm="direct"))
     sim_time = h.sim.now - start
     cm = CommModel("mi210", num_nodes=1, gpus_per_node=world)
-    assert cm.allreduce_direct_time(nbytes, n_elems, itemsize=2) == \
+    assert cm.allreduce_time(nbytes, n_elems, itemsize=2,
+                             algo="direct") == \
         pytest.approx(sim_time, rel=1e-12)
 
 

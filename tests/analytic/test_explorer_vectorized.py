@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import pareto_frontier_legacy
 from repro.analytic.explorer import (
     dominates,
     pareto_frontier,
-    pareto_frontier_legacy,
     pareto_mask,
     refine,
 )

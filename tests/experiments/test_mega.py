@@ -3,7 +3,8 @@ vectorized frontier assembly vs the scalar dse_frontier semantics."""
 
 import numpy as np
 
-from repro.analytic import pareto_frontier_legacy, predict_embedding_a2a
+from oracles import pareto_frontier_legacy
+from repro.analytic import predict_embedding_a2a
 from repro.experiments.mega import (
     MegaSweepSpec,
     dse_mega_smoke_sweep,

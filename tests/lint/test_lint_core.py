@@ -2,7 +2,7 @@
 
 from pathlib import Path
 
-from repro.lint import Finding, SourceFile, fingerprint, run_lint
+from repro.lint import Finding, SourceFile, run_lint
 from repro.lint.names import import_aliases, resolve_call
 
 FIXTURE = Path(__file__).parent / "fixtures" / "tree"
@@ -68,16 +68,3 @@ def test_import_alias_resolution(tmp_path):
     assert resolve_call(call.func, aliases) == "numpy.random.default_rng"
     unknown = ast.parse("self.nic.latency()").body[0].value
     assert resolve_call(unknown.func, aliases) is None
-
-
-def test_fingerprint_ignores_position_and_docstrings(tmp_path):
-    import ast
-
-    def fp(text):
-        return fingerprint(ast.parse(text).body[0])
-
-    base = fp("def f(x):\n    return x + 1\n")
-    assert fp('def f(x):\n    """Doc."""\n    return x + 1\n') == base
-    assert fp("\n\ndef f(x):\n    # comment\n    return x + 1\n") == base
-    assert fp("def f(x):\n    return x + 2\n") != base
-    assert fp("def f(x):\n    return 1 + x\n") != base

@@ -90,17 +90,6 @@ class TestLayering:
         assert lazy_line not in _lines(found, "src/repro/sim/engine.py")
 
 
-class TestMirrorParity:
-    def test_unblessed_pair_and_orphan_flagged(self):
-        found = _findings("mirror-parity")
-        assert len(found) == 3
-        messages = [f.message for f in found]
-        assert sum("no blessed fingerprint" in m for m in messages) == 2
-        assert sum("no scalar sibling" in m for m in messages) == 1
-        orphan = next(f for f in found if "no scalar sibling" in f.message)
-        assert "orphan_batch" in orphan.message
-
-
 class TestParamCompat:
     def test_new_field_without_none_default_flagged(self):
         found = _findings("param-compat")
