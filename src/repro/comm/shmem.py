@@ -14,6 +14,10 @@ against:
   the payload is delivered.
 * :class:`FlagArray` / :meth:`ShmemContext.wait_until` — remote-visible flag
   words that consumer workgroups poll on.
+* :meth:`FlagArray.wait_all` — poll a whole subset of flags (a persistent
+  WG's share of ``sliceRdy``) with one event that fires once, when the
+  last flag lands, instead of one wake per flag.  It resumes the waiter
+  at the same simulated time as polling the flags one by one.
 
 Functional data movement happens eagerly (NumPy copies) while the *timing*
 of visibility is carried by events — consumers must gate on flags, exactly
@@ -22,7 +26,7 @@ as real fused kernels must.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -32,6 +36,21 @@ __all__ = ["FlagArray", "ShmemContext"]
 
 #: Size of one flag word on the wire (bytes).
 FLAG_BYTES = 8
+
+
+class _Countdown:
+    """A :meth:`FlagArray.wait_all` waiter: succeeds its event at zero."""
+
+    __slots__ = ("event", "left")
+
+    def __init__(self, event: Event, left: int):
+        self.event = event
+        self.left = left
+
+    def succeed(self, _value: int) -> None:
+        self.left -= 1
+        if self.left == 0:
+            self.event.succeed()
 
 
 class FlagArray:
@@ -44,15 +63,19 @@ class FlagArray:
         self.sim = sim
         self.name = name
         self.n_flags = n_flags
-        self._values = np.zeros((world_size, n_flags), dtype=np.int64)
-        self._waiters: Dict[Tuple[int, int], List[Tuple[int, Event]]] = {}
+        # One list of flag words per rank: element access on plain lists
+        # is what every poll and set pays, and is several times cheaper
+        # than NumPy scalar indexing.
+        self._values = [[0] * n_flags for _ in range(world_size)]
+        # Waiters per flag: (wanted value, Event or _Countdown).
+        self._waiters: Dict[Tuple[int, int], List[Tuple[int, Any]]] = {}
 
     def read(self, rank: int, idx: int) -> int:
-        return int(self._values[rank, idx])
+        return self._values[rank][idx]
 
     def set(self, rank: int, idx: int, value: int = 1) -> None:
         """Set a flag on ``rank`` *now* and wake satisfied waiters."""
-        self._values[rank, idx] = value
+        self._values[rank][idx] = value
         key = (rank, idx)
         waiters = self._waiters.pop(key, [])
         still = []
@@ -67,19 +90,37 @@ class FlagArray:
     def wait_until(self, rank: int, idx: int, value: int = 1) -> Event:
         """Event that fires when flag ``idx`` on ``rank`` reaches ``value``."""
         ev = self.sim.event()
-        if self._values[rank, idx] >= value:
-            ev.succeed(int(self._values[rank, idx]))
+        current = self._values[rank][idx]
+        if current >= value:
+            ev.succeed(current)
         else:
             self._waiters.setdefault((rank, idx), []).append((value, ev))
         return ev
 
+    def wait_all(self, rank: int, idxs: Iterable[int],
+                 value: int = 1) -> Event:
+        """Event that fires once every flag in ``idxs`` on ``rank`` has
+        reached ``value``: when the last one lands, or now if all have."""
+        ev = self.sim.event()
+        vals = self._values[rank]
+        pending = [i for i in idxs if vals[i] < value]
+        if not pending:
+            ev.succeed()
+            return ev
+        countdown = _Countdown(ev, len(pending))
+        waiters = self._waiters
+        for i in pending:
+            waiters.setdefault((rank, i), []).append((value, countdown))
+        return ev
+
     def all_set(self, rank: int, value: int = 1) -> bool:
-        return bool((self._values[rank] >= value).all())
+        return all(v >= value for v in self._values[rank])
 
     def reset(self) -> None:
         if self._waiters:
             raise RuntimeError(f"reset of {self.name!r} with pending waiters")
-        self._values[...] = 0
+        for row in self._values:
+            row[:] = [0] * len(row)
 
 
 class ShmemContext:

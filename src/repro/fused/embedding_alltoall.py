@@ -305,9 +305,9 @@ class FusedEmbeddingAllToAll:
         flags = self.flags_for(rank)
 
         def epilogue(slot_ctx):
-            n_slots = slot_ctx.kernel.n_slots
-            for fidx in range(slot_ctx.slot_id, self.n_flags, n_slots):
-                yield flags.wait_until(rank, fidx)
+            mine = range(slot_ctx.slot_id, self.n_flags, slot_ctx.kernel.n_slots)
+            if mine:
+                yield flags.wait_all(rank, mine)
 
         return epilogue
 

@@ -272,8 +272,7 @@ class FusedGemmAllToAll:
 
     def _epilogue(self, rank: int):
         def epilogue(slot_ctx):
-            for src in range(self.world):
-                yield self.tile_rdy.wait_until(rank, src)
+            yield self.tile_rdy.wait_all(rank, range(self.world))
 
         return epilogue
 

@@ -242,8 +242,7 @@ class FusedGemvAllReduce:
 
         def hook(slot_ctx, task):
             # Wait for every source's contribution to my chunk.
-            for src in range(world):
-                yield self.partial_rdy.wait_until(rank, src)
+            yield self.partial_rdy.wait_all(rank, range(world))
             yield slot_ctx.charge(
                 slot_ctx.gpu.wg_duration(reduce_cost, slot_ctx.occupancy))
             if cfg.functional:
@@ -284,11 +283,11 @@ class FusedGemvAllReduce:
         agg.add_callback(fire)
 
     def _epilogue(self, rank: int):
+        peers = [o for o in range(self.world) if o != rank]
+
         def epilogue(slot_ctx):
-            for owner in range(self.world):
-                if owner == rank:
-                    continue
-                yield self.final_rdy.wait_until(rank, owner)
+            if peers:
+                yield self.final_rdy.wait_all(rank, peers)
 
         return epilogue
 

@@ -61,15 +61,29 @@ class SlotContext:
     slot_id: int
     occupancy: OccupancyInfo
     trace: TraceRecorder
+    #: Set when the launch's task loop drives this slot (see
+    #: :mod:`repro.kernels.kernel`); changes what :meth:`charge` returns.
+    task_loop: bool = False
 
     @property
     def actor(self) -> str:
         return f"{self.gpu.name}/wg{self.slot_id}"
 
     def charge(self, seconds: float):
-        """Spend WG time (API latency, bookkeeping) — yield the result."""
+        """Spend WG time (API latency, bookkeeping) — yield the result.
+
+        A slot run as its own process (the ``REPRO_SIM_FASTPATH=0``
+        reference) gets a :class:`~repro.sim.Timeout` of ``seconds``.  Under
+        the launch's task loop it gets the ``(time, seq)`` key that Timeout
+        would have had (:meth:`~repro.sim.Simulator.reserve`), and the loop
+        puts the wake on its own heap.  Either way the hook resumes at the
+        same simulated time and in the same event order; only ``yield``
+        the result.
+        """
         if seconds < 0:
             raise ValueError("cannot charge negative time")
+        if self.task_loop:
+            return self.sim.reserve(seconds)
         return self.sim.timeout(seconds)
 
     def record(self, kind: str, **detail) -> None:

@@ -14,33 +14,51 @@ timing-equivalent to an ordinary bulk-synchronous launch under this model.
 Fast path
 ---------
 
-Runs of tasks that carry no ``compute`` payload and no ``on_complete`` hook
-and share the same ``(cost, repeat)`` collapse into one scheduled wake-up
-per physical WG instead of one per task.  Because the task queue is shared,
-a slot may only swallow tasks it would actually have been assigned; the two
-cases where that assignment is known up front are
+All physical WGs of a launch run as **one engine participant**, the task
+loop (:class:`_TaskLoop`), instead of one engine process per WG:
 
-* a *fully uniform* kernel (every task identical, hook- and compute-free):
-  greedy pulls from the shared queue are exactly round-robin, so slot ``s``
-  of ``n`` executes ``ceil((R - s) / n)`` tasks back to back, and
-* a single-slot kernel, where any consecutive run belongs to the one slot.
+* Each slot's wakes (a task's compute time elapsing, a hook's
+  :meth:`~repro.kernels.grid.SlotContext.charge`) sit on the launch's own
+  heap, keyed ``(time, seq)``.  The ``seq`` is drawn from the simulator's
+  counter (:meth:`~repro.sim.Simulator.reserve`) at the moment a
+  per-slot :class:`~repro.sim.Timeout` would draw it, so a wake orders
+  against every engine event exactly as that timeout would.
+* The launch keeps one proxy entry on the engine heap, at its earliest
+  wake's key.  When the proxy pops, the loop runs wakes inline for as long
+  as they come before the engine heap's top and within ``run(until)``,
+  then re-arms.  A wake is only ever consumed inline (never armed) or by
+  its own proxy, so no proxy goes stale and no two engine entries share
+  a key.
+* Hooks and epilogues are generators stepped only while a slot is inside
+  them.  A yielded event (a flag wait) resumes the slot from that event's
+  callback.  Slot completion is a counter; the launch's ``done`` event
+  fires when it reaches zero.  An exception from ``compute``,
+  ``on_complete`` or a hook fails the launch.
 
-With tracing disabled this is observably equivalent — no intermediate event
-exists that anything could react to — and the batch lands on exactly the
-timestamps the per-task path produces (the end time is accumulated with the
-same sequence of float additions and scheduled absolutely).  Set
-``REPRO_SIM_FASTPATH=0`` in the environment to force per-task stepping.
+A fully *uniform* kernel (every task identical, hook- and compute-free, no
+tracing) skips even that: greedy pulls from the shared queue are exactly
+round-robin, so slot ``s`` of ``n`` executes ``ceil((R - s) / n)`` tasks
+back to back, and the end time replays the per-task ``now + dur`` float
+accumulation and is scheduled absolutely.
+
+Simulated results are bit-identical to the reference path, which runs each
+slot as its own :class:`~repro.sim.Process` and every wake as an engine
+event.  Set ``REPRO_SIM_FASTPATH=0`` in the environment to select it; the
+equivalence tests compare the two.
 """
 
 from __future__ import annotations
 
+import heapq
 import os
 from collections import deque
+from heapq import heappush
 from typing import Callable, Generator, List, Optional, Sequence
 
 from ..hw.gpu import Gpu, KernelResources, OccupancyInfo, WgCost
 from ..obs.metrics import get_metrics
-from ..sim import Process, Simulator, TraceRecorder
+from ..sim import Event, Process, SimulationError, Simulator, TraceRecorder
+from ..sim.engine import PRIORITY_NORMAL
 from .grid import SlotContext, WgTask
 
 __all__ = ["PersistentKernel", "run_kernel", "make_uniform_tasks",
@@ -52,7 +70,7 @@ _BALANCE_ROUNDS = 8
 
 
 def fastpath_enabled() -> bool:
-    """Whether run-length task batching is active (``REPRO_SIM_FASTPATH``).
+    """Whether the fast path is active (``REPRO_SIM_FASTPATH``; see above).
 
     Consulted at every kernel launch, so flipping the environment variable
     mid-process (e.g. from a test) takes effect immediately.
@@ -129,28 +147,20 @@ class PersistentKernel:
                               n_slots=self.n_slots,
                               occupancy=self.occupancy.fraction)
         yield self.sim.timeout(spec.kernel_launch_overhead)
-        fast = fastpath_enabled() and not self.trace.enabled
         m = get_metrics()
         if m.enabled:
             m.inc("kernel.launches")
             m.inc("kernel.tasks", len(self.tasks))
-        if fast and self.n_slots > 1 and self._tasks_uniform_batchable():
+        if not fastpath_enabled():
+            yield from self._run_reference()
+        elif (not self.trace.enabled and self.n_slots > 1
+              and self._tasks_uniform_batchable()):
             if m.enabled:
                 m.inc("kernel.fastpath_uniform_kernels")
                 m.inc("kernel.fastpath_uniform_tasks", len(self.tasks))
             yield from self._run_uniform_fast()
         else:
-            queue = deque(self.tasks)
-            slots = [
-                self.sim.process(
-                    self._slot_loop(
-                        SlotContext(self.sim, self.gpu, self,
-                                    slot_id=s, occupancy=self.occupancy,
-                                    trace=self.trace), queue, fast),
-                    name=f"{self.name}/slot{s}")
-                for s in range(self.n_slots)
-            ]
-            yield self.sim.all_of(slots)
+            yield _TaskLoop(self).done
         if self.trace.enabled:
             self.trace.record(self.sim.now, "kernel_end", self.gpu.name,
                               kernel=self.name)
@@ -212,17 +222,27 @@ class PersistentKernel:
         if epi is not None:
             yield from epi
 
-    def _slot_loop(self, ctx: SlotContext, queue: deque,
-                   fast: bool = False) -> Generator:
+    def _run_reference(self) -> Generator:
+        """Each slot as its own engine process, every wake an engine event:
+        the ``REPRO_SIM_FASTPATH=0`` reference the task loop is held to."""
+        queue = deque(self.tasks)
+        slots = [
+            self.sim.process(
+                self._slot_loop(
+                    SlotContext(self.sim, self.gpu, self,
+                                slot_id=s, occupancy=self.occupancy,
+                                trace=self.trace), queue),
+                name=f"{self.name}/slot{s}")
+            for s in range(self.n_slots)
+        ]
+        yield self.sim.all_of(slots)
+
+    def _slot_loop(self, ctx: SlotContext, queue: deque) -> Generator:
         sim = self.sim
         occ = self.occupancy
         wg_duration = self.gpu.wg_duration
         dispatch = self.gpu.spec.wg_dispatch_overhead
         tracing = self.trace.enabled
-        # Run-length batching inside one slot is only sound when no other
-        # slot contends for the queue (see module docstring).
-        batch = fast and self.n_slots == 1
-        batched_tasks = 0
         popleft = queue.popleft
         while queue:
             task = popleft()
@@ -230,38 +250,14 @@ class PersistentKernel:
                 ctx.record("wg_start", task=task.task_id, **task.meta)
             if task.compute is not None:
                 task.compute()
-            dur = task.repeat * (wg_duration(task.cost, occ) + dispatch)
-            if batch and task.on_complete is None:
-                # Swallow the run of consecutive tasks with no side effects
-                # and the same duration.  ``end`` replays the per-task
-                # ``now + dur`` accumulation so the wake-up lands on the
-                # bit-identical timestamp, scheduled absolutely.
-                end = sim.now + dur
-                batched_tasks += 1
-                cost, repeat = task.cost, task.repeat
-                while queue:
-                    nxt = queue[0]
-                    if (nxt.on_complete is not None
-                            or nxt.compute is not None
-                            or nxt.repeat != repeat
-                            or not (nxt.cost is cost or nxt.cost == cost)):
-                        break
-                    popleft()
-                    batched_tasks += 1
-                    end += dur
-                yield sim.timeout_at(end)
-                continue
-            yield sim.timeout(dur)
+            yield sim.timeout(
+                task.repeat * (wg_duration(task.cost, occ) + dispatch))
             if tracing:
                 ctx.record("wg_end", task=task.task_id)
             if task.on_complete is not None:
                 hook = task.on_complete(ctx, task)
                 if hook is not None:
                     yield from hook
-        if batched_tasks:
-            m = get_metrics()
-            if m.enabled:
-                m.inc("kernel.fastpath_batched_tasks", batched_tasks)
         if self.epilogue is not None:
             epi = self.epilogue(ctx)
             if epi is not None:
@@ -278,6 +274,205 @@ class PersistentKernel:
             for t in self.tasks)
         return (self.gpu.spec.kernel_launch_overhead
                 + total / max(self.n_slots, 1))
+
+
+class _Slot:
+    """One physical WG inside a :class:`_TaskLoop`."""
+
+    __slots__ = ("loop", "ctx", "task", "gen", "in_epilogue")
+
+    def __init__(self, loop: "_TaskLoop", ctx: SlotContext):
+        self.loop = loop
+        self.ctx = ctx
+        self.task: Optional[WgTask] = None   # task whose compute time runs
+        self.gen: Optional[Generator] = None  # hook or epilogue being stepped
+        self.in_epilogue = False
+
+    def on_event(self, ev: Event) -> None:
+        """Callback of an event a hook or epilogue yielded."""
+        loop = self.loop
+        if loop.failed:
+            return
+        try:
+            if ev._ok:
+                loop.advance(self, ev._value, None)
+            else:
+                loop.advance(self, None, ev._value)
+        except BaseException as exc:
+            loop.fail(exc)
+            return
+        loop.arm()
+
+
+class _TaskLoop:
+    """All physical WGs of one launch as a single engine participant.
+
+    See the module docstring ("Fast path") for the ordering argument.
+    Engine entries are ``(time, PRIORITY_NORMAL, seq, self)``; the engine
+    calls :meth:`_process` when one pops.
+    """
+
+    __slots__ = ("kernel", "sim", "queue", "wakes", "armed", "live", "done",
+                 "failed", "durs")
+
+    def __init__(self, kernel: PersistentKernel):
+        sim = self.sim = kernel.sim
+        self.kernel = kernel
+        self.queue = deque(kernel.tasks)
+        self.wakes: list = []    # (time, seq, slot): this launch's wake heap
+        self.armed: list = []    # (time, seq) of this launch's engine entries
+        self.live = kernel.n_slots
+        self.done = sim.event()
+        self.failed = False
+        self.durs: dict = {}     # id(cost) -> one repeat's duration
+        # Each slot starts where its process bootstrap would have run.
+        for s in range(kernel.n_slots):
+            ctx = SlotContext(sim, kernel.gpu, kernel, slot_id=s,
+                              occupancy=kernel.occupancy, trace=kernel.trace,
+                              task_loop=True)
+            t, seq = sim.reserve(0.0)
+            self.wakes.append((t, seq, _Slot(self, ctx)))
+        self.arm()
+
+    # -- engine interface -----------------------------------------------------
+    def arm(self) -> None:
+        """Keep an engine entry at the earliest wake's key."""
+        wakes = self.wakes
+        if wakes:
+            t, seq, _slot = wakes[0]
+            armed = self.armed
+            # Every armed key belongs to a pending wake, so if the earliest
+            # wake is armed it is the earliest armed key.
+            if not armed or armed[0][1] != seq:
+                heapq.heappush(armed, (t, seq))
+                heapq.heappush(self.sim._heap, (t, PRIORITY_NORMAL, seq, self))
+
+    def _process(self) -> None:
+        """Engine callback: run wakes inline while they precede the heap."""
+        heapq.heappop(self.armed)
+        if self.failed:
+            return
+        sim = self.sim
+        wakes = self.wakes
+        heap = sim._heap
+        until = sim._until
+        pop = heapq.heappop
+        advance = self.advance
+        try:
+            while True:
+                t, _seq, slot = pop(wakes)
+                sim._now = t
+                advance(slot, None, None)
+                if not wakes:
+                    break
+                t, seq, _slot = wakes[0]
+                if t > until:
+                    break
+                if heap:
+                    top = heap[0]
+                    # ``<=`` on seq: an equal key is this wake's own proxy,
+                    # which must consume it.
+                    if top[0] < t or (top[0] == t and (
+                            top[1] < PRIORITY_NORMAL
+                            or (top[1] == PRIORITY_NORMAL and top[2] <= seq))):
+                        break
+        except BaseException as exc:
+            self.fail(exc)
+            return
+        self.arm()
+
+    def fail(self, exc: BaseException) -> None:
+        self.failed = True
+        self.wakes.clear()
+        if not self.done._triggered:
+            self.done.fail(exc)
+
+    # -- slot stepping --------------------------------------------------------
+    def advance(self, slot: _Slot, value, exc) -> None:
+        """Run ``slot`` until it waits on a wake or an event, or finishes.
+
+        Called for a wake (``value`` and ``exc`` None) or with the outcome
+        of the event the slot's generator yielded.
+        """
+        kernel = self.kernel
+        ctx = slot.ctx
+        tracing = ctx.trace.enabled
+        gen = slot.gen
+        while True:
+            if gen is not None:
+                try:
+                    if exc is None:
+                        nxt = gen.send(value)
+                    else:
+                        nxt = gen.throw(exc)
+                except StopIteration:
+                    gen = slot.gen = None
+                    if slot.in_epilogue:
+                        if tracing:
+                            ctx.record("wait_end")
+                        break
+                else:
+                    if type(nxt) is tuple:
+                        # A charge: its reserved (time, seq) key.
+                        heappush(self.wakes, (nxt[0], nxt[1], slot))
+                        return
+                    if isinstance(nxt, Event) and nxt.sim is self.sim:
+                        if not nxt._processed:
+                            nxt.add_callback(slot.on_event)
+                            return
+                        if nxt._ok:
+                            value, exc = nxt._value, None
+                        else:
+                            value, exc = None, nxt._value
+                    else:
+                        value, exc = None, SimulationError(
+                            f"slot {ctx.actor} yielded non-event {nxt!r}")
+                    continue
+            else:
+                task = slot.task
+                if task is not None:
+                    # The task's compute time has elapsed.
+                    slot.task = None
+                    if tracing:
+                        ctx.record("wg_end", task=task.task_id)
+                    if task.on_complete is not None:
+                        gen = task.on_complete(ctx, task)
+                        if gen is not None:
+                            slot.gen = gen
+                            value = exc = None
+                            continue
+            queue = self.queue
+            if queue:
+                task = slot.task = queue.popleft()
+                if tracing:
+                    ctx.record("wg_start", task=task.task_id, **task.meta)
+                if task.compute is not None:
+                    task.compute()
+                cost = task.cost
+                unit = self.durs.get(id(cost))
+                if unit is None:
+                    unit = self.durs[id(cost)] = (
+                        kernel.gpu.wg_duration(cost, kernel.occupancy)
+                        + kernel.gpu.spec.wg_dispatch_overhead)
+                # Inlined Simulator.reserve: the key of a per-task timeout.
+                sim = self.sim
+                sim._seq += 1
+                heappush(self.wakes, (sim._now + task.repeat * unit,
+                                      sim._seq, slot))
+                return
+            if kernel.epilogue is None or slot.in_epilogue:
+                break
+            slot.in_epilogue = True
+            gen = kernel.epilogue(ctx)
+            if gen is None:
+                break
+            slot.gen = gen
+            value = exc = None
+            if tracing:
+                ctx.record("wait_start")
+        self.live -= 1
+        if self.live == 0:
+            self.done.succeed()
 
 
 def make_uniform_tasks(n: int, cost: WgCost, repeat: int = 1,

@@ -27,8 +27,10 @@ def oblivious_order(tasks: Sequence[WgTask]) -> List[WgTask]:
 
 def comm_aware_order(tasks: Sequence[WgTask]) -> List[WgTask]:
     """Remote-slice tasks first, each group in stable original order."""
-    remote = [t for t in tasks if t.is_remote]
-    local = [t for t in tasks if not t.is_remote]
+    remote: List[WgTask] = []
+    local: List[WgTask] = []
+    for t in tasks:
+        (remote if t.meta.get("remote", False) else local).append(t)
     return remote + local
 
 

@@ -357,6 +357,10 @@ class Simulator:
         self._now: float = 0.0
         self._heap: list = []
         self._seq = 0
+        #: Horizon of the current :meth:`run` call.  Participants that
+        #: process their own wakes inline (the kernel task loop) must not
+        #: advance the clock past it.
+        self._until: float = float("inf")
 
     @property
     def now(self) -> float:
@@ -389,6 +393,20 @@ class Simulator:
         self._seq += 1
         heapq.heappush(self._heap, (when, PRIORITY_NORMAL, self._seq, ev))
         return ev
+
+    def reserve(self, delay: float) -> tuple:
+        """Draw the ``(time, seq)`` key a :meth:`timeout` of ``delay``
+        created now would get, without scheduling anything.
+
+        Participants that keep their own wake heap (the kernel task loop,
+        :class:`~repro.sim.resources.FairShareLink`) reserve keys this way,
+        so every entry they later put on the engine heap orders exactly
+        where the equivalent :class:`Timeout` would have.
+        """
+        if delay < 0:
+            raise ValueError(f"negative timeout delay: {delay!r}")
+        self._seq += 1
+        return (self._now + delay, self._seq)
 
     def process(self, generator: Generator, name: Optional[str] = None) -> Process:
         """Start a new process from a generator."""
@@ -427,6 +445,7 @@ class Simulator:
         """
         if until is not None and until < self._now:
             raise ValueError(f"until={until} is in the past (now={self._now})")
+        self._until = float("inf") if until is None else until
         m = _metrics()
         if m.enabled:
             return self._run_instrumented(until, m)

@@ -19,7 +19,7 @@ import heapq
 from collections import deque
 from typing import Any, Optional
 
-from .engine import Event, Simulator, SimulationError
+from .engine import PRIORITY_NORMAL, Event, Simulator, SimulationError
 
 __all__ = ["Resource", "FifoChannel", "FairShareLink", "Mailbox"]
 
@@ -144,6 +144,16 @@ class FairShareLink:
     the top of a heap — fused kernels put hundreds of concurrent slices on a
     link, and the previous per-flow decrement loop was the single hottest
     spot in intra-node figure regenerations.
+
+    Every arrival moves the next completion, so the link re-plans its
+    deadline often, and most deadlines are superseded before they fire.
+    The link therefore *reserves* the engine key ``(time, seq)`` of each
+    deadline (:meth:`Simulator.reserve`, drawn exactly when a fresh
+    timeout would be) and keeps at most one armed engine entry per
+    reserved key.  An armed entry that fires before the live deadline just
+    re-arms at the reserved key, without draining, so the live deadline is
+    processed exactly where a per-deadline timeout would be and a
+    superseded deadline costs nothing.
     """
 
     def __init__(self, sim: Simulator, bandwidth: float, latency: float = 0.0,
@@ -160,7 +170,8 @@ class FairShareLink:
         self._seq = 0
         self._drained = 0.0          # per-flow bytes drained this busy period
         self._last_t = 0.0
-        self._version = 0
+        self._due: Optional[tuple] = None   # reserved key of the live deadline
+        self._armed: list = []       # keys of this link's engine entries
         self.bytes_sent = 0.0
         self.busy_time = 0.0
 
@@ -202,7 +213,7 @@ class FairShareLink:
         self._drained += self.bandwidth / len(self._heap) * dt
 
     def _reschedule(self) -> None:
-        self._version += 1
+        self._due = None
         heap = self._heap
         while heap:
             target, _seq, fl = heap[0]
@@ -213,11 +224,10 @@ class FairShareLink:
                 continue
             dt = rem * len(heap) / self.bandwidth
             if self.sim.now + dt > self.sim.now:
-                # The armed version rides along as the timer's value so no
-                # per-timer closure is allocated; a stale timer (superseded
-                # by a newer arrival) sees a version mismatch and dies.
-                self.sim.timeout(dt, value=self._version).add_callback(
-                    self._on_timer_event)
+                due = self._due = self.sim.reserve(dt)
+                armed = self._armed
+                if not armed or armed[0] > due:
+                    self._arm(due)
                 return
             # Residue too small for the clock's float resolution to express
             # (epsilon-scale bytes left by cumulative drain rounding):
@@ -234,11 +244,22 @@ class FairShareLink:
         # not degrade over the lifetime of a long simulation.
         self._drained = 0.0
 
-    def _on_timer_event(self, ev: Event) -> None:
-        if ev._value != self._version:
-            return  # a newer flow arrival superseded this timer
-        self._drain_to_now()
-        self._reschedule()
+    def _arm(self, key: tuple) -> None:
+        heapq.heappush(self._armed, key)
+        heapq.heappush(self.sim._heap, (key[0], PRIORITY_NORMAL, key[1], self))
+
+    def _process(self) -> None:
+        """Engine callback: the earliest armed entry of this link fired."""
+        key = heapq.heappop(self._armed)
+        due = self._due
+        if due is None:
+            return  # the link went idle after this entry was armed
+        if key == due:
+            self._drain_to_now()
+            self._reschedule()
+        elif not self._armed or self._armed[0] > due:
+            # Fired ahead of a deadline that a later arrival pushed back.
+            self._arm(due)
 
 
 class Mailbox:

@@ -1,11 +1,13 @@
-"""Fast path vs. per-task slow path: bit-identical simulated behaviour.
+"""Fast path vs. per-slot reference path: bit-identical simulated behaviour.
 
-The fast-path simulation core (run-length task batching, memoized cost
-models, zero-overhead tracing) must change *host* time only.  These tests
-run the same operators with ``REPRO_SIM_FASTPATH`` on and off across a
-seeded randomized grid of configurations and require the observable outputs
-— final ``sim.now``, per-rank elapsed/end times, and figure-level
+The fast-path simulation core (the per-launch task loop, the uniform-kernel
+fast-forward, memoized cost models, zero-overhead tracing) must change
+*host* time only.  These tests run the same operators with
+``REPRO_SIM_FASTPATH`` on and off across seeded randomized grids of all
+five fused operators and require the observable outputs — final
+``sim.now``, per-rank elapsed/end times, and figure-level
 ``Row.normalized`` — to be equal to the last ulp (``==``, no tolerance).
+Traced runs go through the same task loop and must match untraced ones.
 """
 
 import random
@@ -24,10 +26,19 @@ from repro.fused.gemv_allreduce import (
     FusedGemvAllReduce,
     GemvAllReduceConfig,
 )
+from repro.fused.embedding_grad_alltoall import (
+    BaselineEmbeddingGradAllToAll,
+    FusedEmbeddingGradAllToAll,
+)
+from repro.fused.gemm_alltoall import (
+    BaselineGemmAllToAll,
+    FusedGemmAllToAll,
+    GemmA2AConfig,
+)
 from repro.hw.specs import MI210
 from repro.kernels import PersistentKernel, make_uniform_tasks
 from repro.hw.gpu import Gpu, WgCost
-from repro.sim import Simulator
+from repro.sim import Simulator, TraceRecorder
 
 
 def _run_pair(fused_factory, baseline_factory, num_nodes, gpus_per_node):
@@ -45,6 +56,15 @@ def _run_pair(fused_factory, baseline_factory, num_nodes, gpus_per_node):
         "sim_now": (h1.sim.now, h2.sim.now),
         "outputs": fused.outputs,
     }
+
+
+def _run_fused(factory, num_nodes, gpus_per_node, trace=None):
+    """One fused run on a fresh cluster (optionally traced)."""
+    h = OpHarness(num_nodes=num_nodes, gpus_per_node=gpus_per_node,
+                  trace=trace)
+    out = h.run(factory(h))
+    return {"elapsed": out.elapsed, "sim_now": h.sim.now,
+            "rank_end_times": dict(out.stats.get("rank_end_times", {}))}
 
 
 def _both_modes(monkeypatch, runner):
@@ -157,3 +177,97 @@ def test_uniform_kernel_per_slot_times_bit_identical(monkeypatch):
             results[mode] = sim.now
         assert results["fast"] == results["slow"]
         assert finishes["fast"] == finishes["slow"]
+
+
+def _random_gemm_configs(rng, n):
+    cfgs = []
+    for _ in range(n):
+        world = rng.choice([2, 4])
+        cfgs.append((GemmA2AConfig(
+            tokens=rng.choice([2, 4, 8]) * world * 64,
+            model_dim=rng.choice([256, 1024]),
+            ffn_dim=rng.choice([256, 512]),
+            functional=False,
+            scheduler=rng.choice(["comm_aware", "oblivious"]),
+        ), world))
+    return cfgs
+
+
+def test_gemm_a2a_grid_bit_identical(monkeypatch):
+    rng = random.Random(0x6E4)
+    for cfg, world in _random_gemm_configs(rng, 4):
+        fast, slow = _both_modes(monkeypatch, lambda: _run_pair(
+            lambda h: FusedGemmAllToAll(h, cfg),
+            lambda h: BaselineGemmAllToAll(h, cfg),
+            num_nodes=1, gpus_per_node=world))
+        _assert_identical(fast, slow)
+
+
+def test_embedding_grad_grid_bit_identical(monkeypatch):
+    rng = random.Random(0x9AD)
+    for cfg, (nodes, gpn) in _random_embedding_configs(rng, 4):
+        fast, slow = _both_modes(monkeypatch, lambda: _run_pair(
+            lambda h: FusedEmbeddingGradAllToAll(h, cfg),
+            lambda h: BaselineEmbeddingGradAllToAll(h, cfg),
+            num_nodes=nodes, gpus_per_node=gpn))
+        _assert_identical(fast, slow)
+
+
+def test_embedding_fused_grid_bit_identical(monkeypatch):
+    """The ``embedding_fused`` runner's knobs: occupancy limit and the
+    CPU-proxy NIC path, on fabric and NIC shapes."""
+    rng = random.Random(0xF05)
+    for cfg, (nodes, gpn) in _random_embedding_configs(rng, 4):
+        cpu_proxy = nodes > 1 and rng.random() < 0.5
+        occ = rng.choice([None, 0.5])
+        cfg = EmbeddingA2AConfig(**{**cfg.__dict__,
+                                    "occupancy_of_baseline": occ})
+
+        def run():
+            h = OpHarness(num_nodes=nodes, gpus_per_node=gpn,
+                          cpu_proxy=cpu_proxy)
+            out = h.run(FusedEmbeddingAllToAll(h, cfg))
+            return {"elapsed": out.elapsed, "sim_now": h.sim.now,
+                    "rank_end_times": dict(out.stats["rank_end_times"])}
+
+        fast, slow = _both_modes(monkeypatch, run)
+        assert fast == slow
+
+
+def test_two_node_nic_shape_bit_identical(monkeypatch):
+    """Two 2-GPU nodes: every rank talks over both the fabric and the NIC."""
+    cfg = EmbeddingA2AConfig(global_batch=512, tables_per_gpu=8,
+                             slice_vectors=16, functional=False)
+    for fused, base in (
+            (FusedEmbeddingAllToAll, BaselineEmbeddingAllToAll),
+            (FusedEmbeddingGradAllToAll, BaselineEmbeddingGradAllToAll)):
+        fast, slow = _both_modes(monkeypatch, lambda: _run_pair(
+            lambda h: fused(h, cfg), lambda h: base(h, cfg),
+            num_nodes=2, gpus_per_node=2))
+        _assert_identical(fast, slow)
+
+
+def test_traced_runs_match_untraced(monkeypatch):
+    """A trace recorder observes; it must not move a single timestamp."""
+    emb = EmbeddingA2AConfig(global_batch=256, tables_per_gpu=8,
+                             slice_vectors=16, tasks_per_slice=4,
+                             functional=False)
+    gemv = GemvAllReduceConfig(m=2048, n_per_gpu=512, functional=False)
+    gemm = GemmA2AConfig(tokens=512, model_dim=256, ffn_dim=256,
+                         functional=False)
+    cases = [
+        (lambda h: FusedEmbeddingAllToAll(h, emb), 2, 1),
+        (lambda h: FusedEmbeddingAllToAll(h, emb), 1, 4),
+        (lambda h: FusedEmbeddingGradAllToAll(h, emb), 2, 2),
+        (lambda h: FusedGemvAllReduce(h, gemv), 1, 4),
+        (lambda h: FusedGemmAllToAll(h, gemm), 1, 4),
+    ]
+    for factory, nodes, gpn in cases:
+        runs = []
+        for flag in ("1", "0"):
+            monkeypatch.setenv("REPRO_SIM_FASTPATH", flag)
+            runs.append(_run_fused(factory, nodes, gpn))
+            trace = TraceRecorder()
+            runs.append(_run_fused(factory, nodes, gpn, trace=trace))
+            assert trace.filter(kind="wg_end")
+        assert all(r == runs[0] for r in runs[1:])
