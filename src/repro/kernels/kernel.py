@@ -49,10 +49,9 @@ equivalence tests compare the two.
 
 from __future__ import annotations
 
-import heapq
 import os
 from collections import deque
-from heapq import heappush
+from heapq import heappop, heappush
 from typing import Callable, Generator, List, Optional, Sequence
 
 from ..hw.gpu import Gpu, KernelResources, OccupancyInfo, WgCost
@@ -344,23 +343,22 @@ class _TaskLoop:
             # Every armed key belongs to a pending wake, so if the earliest
             # wake is armed it is the earliest armed key.
             if not armed or armed[0][1] != seq:
-                heapq.heappush(armed, (t, seq))
-                heapq.heappush(self.sim._heap, (t, PRIORITY_NORMAL, seq, self))
+                heappush(armed, (t, seq))
+                heappush(self.sim._heap, (t, PRIORITY_NORMAL, seq, self))
 
     def _process(self) -> None:
         """Engine callback: run wakes inline while they precede the heap."""
-        heapq.heappop(self.armed)
+        heappop(self.armed)
         if self.failed:
             return
         sim = self.sim
         wakes = self.wakes
         heap = sim._heap
         until = sim._until
-        pop = heapq.heappop
         advance = self.advance
         try:
             while True:
-                t, _seq, slot = pop(wakes)
+                t, _seq, slot = heappop(wakes)
                 sim._now = t
                 advance(slot, None, None)
                 if not wakes:

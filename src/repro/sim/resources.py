@@ -149,11 +149,12 @@ class FairShareLink:
     deadline often, and most deadlines are superseded before they fire.
     The link therefore *reserves* the engine key ``(time, seq)`` of each
     deadline (:meth:`Simulator.reserve`, drawn exactly when a fresh
-    timeout would be) and keeps at most one armed engine entry per
-    reserved key.  An armed entry that fires before the live deadline just
-    re-arms at the reserved key, without draining, so the live deadline is
-    processed exactly where a per-deadline timeout would be and a
-    superseded deadline costs nothing.
+    timeout would be) and keeps one armed engine entry at or before it.
+    An entry that fires before the live deadline re-arms at the reserved
+    key without draining, so the live deadline is processed exactly where
+    a per-deadline timeout would be, and a deadline that a later arrival
+    supersedes costs nothing.  Only a deadline that moves *earlier* than
+    the armed entry pushes a second one.
     """
 
     def __init__(self, sim: Simulator, bandwidth: float, latency: float = 0.0,

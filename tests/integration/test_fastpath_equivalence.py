@@ -196,7 +196,7 @@ def _random_gemm_configs(rng, n):
 def test_gemm_a2a_grid_bit_identical(monkeypatch):
     rng = random.Random(0x6E4)
     for cfg, world in _random_gemm_configs(rng, 4):
-        fast, slow = _both_modes(monkeypatch, lambda: _run_pair(
+        fast, slow = _both_modes(monkeypatch, lambda cfg=cfg, world=world: _run_pair(
             lambda h: FusedGemmAllToAll(h, cfg),
             lambda h: BaselineGemmAllToAll(h, cfg),
             num_nodes=1, gpus_per_node=world))
@@ -205,11 +205,11 @@ def test_gemm_a2a_grid_bit_identical(monkeypatch):
 
 def test_embedding_grad_grid_bit_identical(monkeypatch):
     rng = random.Random(0x9AD)
-    for cfg, (nodes, gpn) in _random_embedding_configs(rng, 4):
-        fast, slow = _both_modes(monkeypatch, lambda: _run_pair(
+    for cfg, shape in _random_embedding_configs(rng, 4):
+        fast, slow = _both_modes(monkeypatch, lambda cfg=cfg, shape=shape: _run_pair(
             lambda h: FusedEmbeddingGradAllToAll(h, cfg),
             lambda h: BaselineEmbeddingGradAllToAll(h, cfg),
-            num_nodes=nodes, gpus_per_node=gpn))
+            num_nodes=shape[0], gpus_per_node=shape[1]))
         _assert_identical(fast, slow)
 
 
@@ -223,7 +223,7 @@ def test_embedding_fused_grid_bit_identical(monkeypatch):
         cfg = EmbeddingA2AConfig(**{**cfg.__dict__,
                                     "occupancy_of_baseline": occ})
 
-        def run():
+        def run(cfg=cfg, nodes=nodes, gpn=gpn, cpu_proxy=cpu_proxy):
             h = OpHarness(num_nodes=nodes, gpus_per_node=gpn,
                           cpu_proxy=cpu_proxy)
             out = h.run(FusedEmbeddingAllToAll(h, cfg))
@@ -241,7 +241,7 @@ def test_two_node_nic_shape_bit_identical(monkeypatch):
     for fused, base in (
             (FusedEmbeddingAllToAll, BaselineEmbeddingAllToAll),
             (FusedEmbeddingGradAllToAll, BaselineEmbeddingGradAllToAll)):
-        fast, slow = _both_modes(monkeypatch, lambda: _run_pair(
+        fast, slow = _both_modes(monkeypatch, lambda fused=fused, base=base: _run_pair(
             lambda h: fused(h, cfg), lambda h: base(h, cfg),
             num_nodes=2, gpus_per_node=2))
         _assert_identical(fast, slow)

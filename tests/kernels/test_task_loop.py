@@ -185,7 +185,7 @@ def test_link_superseded_deadlines_cost_no_events(monkeypatch):
     done = []
 
     def arrivals():
-        for i in range(50):
+        for _ in range(50):
             link.transfer(1e6).add_callback(lambda e: done.append(sim.now))
             yield sim.timeout(1e-5)
 
