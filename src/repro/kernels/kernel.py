@@ -24,11 +24,12 @@ loop (:class:`_TaskLoop`), instead of one engine process per WG:
   per-slot :class:`~repro.sim.Timeout` would draw it, so a wake orders
   against every engine event exactly as that timeout would.
 * The launch keeps one proxy entry on the engine heap, at its earliest
-  wake's key.  When the proxy pops, the loop runs wakes inline for as long
-  as they come before the engine heap's top and within ``run(until)``,
-  then re-arms.  A wake is only ever consumed inline (never armed) or by
-  its own proxy, so no proxy goes stale and no two engine entries share
-  a key.
+  wake's key (a second one only while a slot resumed by an event has
+  queued a wake ahead of the armed one).  When a proxy pops, the loop runs
+  wakes inline for as long as they come before the engine heap's top and
+  within ``run(until)``, then re-arms.  A wake is only ever consumed
+  inline (never armed) or by its own proxy, so no proxy goes stale and no
+  two engine entries share a key.
 * Hooks and epilogues are generators stepped only while a slot is inside
   them.  A yielded event (a flag wait) resumes the slot from that event's
   callback.  Slot completion is a counter; the launch's ``done`` event
