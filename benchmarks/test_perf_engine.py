@@ -12,8 +12,9 @@ machine; a plain test run only asserts and prints.
 import os
 import pathlib
 
-from repro.bench.figures import fig9_gemv_allreduce
 from repro.bench.perf import time_call, write_bench_report
+from repro.experiments import run_sweep
+from repro.experiments.figures import fig9_sweep
 from repro.fused.base import baseline_kernel_resources
 from repro.hw.gpu import Gpu, WgCost
 from repro.hw.platform import get_platform
@@ -184,8 +185,8 @@ def _trace_export_events_per_sec() -> float:
 
 def _metrics_on_over_off_ratio() -> float:
     """DES scenario throughput with the metrics registry live over the
-    default NULL_METRICS path (1.0 = free; the instrumented run loop and
-    counter flushes cost a few percent)."""
+    default NULL_METRICS path (1.0 = free; the run loop counts in locals
+    either way, so only the registry flushes cost anything)."""
     from repro.obs.metrics import enable_metrics, reset_metrics
 
     off = _des_scenarios_per_sec()
@@ -243,8 +244,8 @@ def test_trace_export_throughput():
 
 
 def test_metrics_overhead_bounded():
-    """A live metrics registry may cost a little DES throughput, but the
-    instrumented run loop must stay within 25% of the default path
+    """A live metrics registry may cost a little DES throughput, but a
+    metrics-enabled run must stay within 25% of the default path
     (host-noise-tolerant floor; the committed report tracks the ratio)."""
     ratio = _metrics_on_over_off_ratio()
     assert ratio > 0.75, f"metrics-enabled DES throughput ratio {ratio:.2f}"
@@ -263,8 +264,8 @@ def test_fastpath_speedup_and_report(monkeypatch):
         f"fast path only {speedup:.1f}x over per-task stepping "
         f"({fast:.0f} vs {slow:.0f} WGs/s)")
 
-    fig9, fig9_wall = time_call(
-        lambda: fig9_gemv_allreduce(grid=FIG9_SMALL_GRID))
+    fig9, fig9_wall = time_call(lambda: run_sweep(
+        fig9_sweep(FIG9_SMALL_GRID, name="bench-fig9")).figure())
     analytic = _analytic_scenarios_per_sec()
     des = _des_scenarios_per_sec()
     collective = _collective_algo_scenarios_per_sec()

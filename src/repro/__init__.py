@@ -17,7 +17,10 @@ Layers (bottom-up):
 * :mod:`repro.frameworks` — minitorch / mini-Triton integration layers.
 * :mod:`repro.models` — DLRM / Transformer / MoE workloads.
 * :mod:`repro.astra` — execution-graph scale-out training simulator.
-* :mod:`repro.bench` — experiment harness regenerating every paper figure.
+* :mod:`repro.bench` — figure results, the fused/baseline pair runner, and
+  host-performance reporting.
+* :mod:`repro.experiments` — every paper table and figure as a registered
+  sweep (parallel, cached, diffable); ``regenerate("fig9")`` runs one.
 """
 
 __version__ = "1.0.0"

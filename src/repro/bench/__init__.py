@@ -1,17 +1,13 @@
-"""Benchmark harness: regenerates every table and figure of the paper."""
+"""Benchmark harness: paired fused/baseline runs, figure results, and the
+host-performance report.
 
-from .figures import (
-    fig8_embedding_a2a_intranode,
-    fig9_gemv_allreduce,
-    fig10_gemm_a2a,
-    fig11_wg_timeline,
-    fig12_embedding_a2a_internode,
-    fig13_occupancy_sweep,
-    fig14_scheduling_skew,
-    fig15_scaleout,
-    table1_setup,
-    table2_setup,
-)
+:class:`FigureResult` is what every registered figure sweep assembles
+(see :mod:`repro.experiments.figures`); :func:`compare` runs one
+fused/baseline pair on fresh clusters.  Regenerate a paper figure with
+``repro.experiments.regenerate("fig9")`` or
+``run_sweep(fig9_sweep(grid=...)).figure()``.
+"""
+
 from .harness import FigureResult, Row, compare
 from .perf import time_call, write_bench_report
 
@@ -19,16 +15,6 @@ __all__ = [
     "FigureResult",
     "Row",
     "compare",
-    "fig8_embedding_a2a_intranode",
-    "fig9_gemv_allreduce",
-    "fig10_gemm_a2a",
-    "fig11_wg_timeline",
-    "fig12_embedding_a2a_internode",
-    "fig13_occupancy_sweep",
-    "fig14_scheduling_skew",
-    "fig15_scaleout",
-    "table1_setup",
-    "table2_setup",
     "time_call",
     "write_bench_report",
 ]

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from ..fused.base import OpHarness
-from ..sim import TraceRecorder
 
 __all__ = ["Row", "FigureResult", "compare"]
 
@@ -110,11 +109,6 @@ class FigureResult:
             "extra": dict(self.extra),
         }
 
-    def to_json(self) -> str:
-        """Stable JSON string form of :meth:`to_json_dict`."""
-        import json
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
-
     @classmethod
     def from_json_dict(cls, payload: Dict) -> "FigureResult":
         """Inverse of :meth:`to_json_dict` (round-trips exactly)."""
@@ -130,9 +124,7 @@ class FigureResult:
 
 
 def compare(label: str, fused_factory: Callable, baseline_factory: Callable,
-            num_nodes: int, gpus_per_node: int,
-            trace: Optional[TraceRecorder] = None,
-            platform=None) -> Row:
+            num_nodes: int, gpus_per_node: int, platform=None) -> Row:
     """Run one fused/baseline pair on fresh clusters; return the row.
 
     The factories receive the :class:`OpHarness` and return the operator
@@ -141,7 +133,7 @@ def compare(label: str, fused_factory: Callable, baseline_factory: Callable,
     the calibrated MI210).
     """
     h1 = OpHarness(num_nodes=num_nodes, gpus_per_node=gpus_per_node,
-                   trace=trace, platform=platform)
+                   platform=platform)
     fused = h1.run(fused_factory(h1))
     h2 = OpHarness(num_nodes=num_nodes, gpus_per_node=gpus_per_node,
                    platform=platform)

@@ -1,25 +1,25 @@
-"""The paper's evaluation, ported onto the orchestrator.
+"""The paper's evaluation as registered sweeps.
 
-Every figure/table of ``repro.bench.figures`` and every ablation that used
-to live inline in ``benchmarks/`` is re-expressed here as a
+Every paper table and figure (Tables I–II, Figs. 8–15), every ablation and
+the extension/design-space grids are expressed here as a
 :class:`~repro.experiments.specs.SweepSpec`: a list of independent
 scenarios (one simulation — or one fused/baseline pair — each) plus an
-assembler that rebuilds the exact :class:`FigureResult` the direct path
-produces.  Each runner dispatches on the ``backend`` scenario parameter:
-the default discrete-event engine, or the closed-form analytic engine
-(:mod:`repro.analytic`) that evaluates the same workload thousands of
-times faster — the axis behind the large ``dse_*`` design-space sweeps.  Scenario independence is what buys parallel sharding and
-content-addressed caching; the assemblers replicate the direct path's
-aggregation (worst-point normalization, skew statistics, paper-comparison
-strings) bit for bit, which
-``tests/experiments/test_figure_equivalence.py`` enforces.
+assembler that builds the :class:`FigureResult` (worst-point
+normalization, skew statistics, paper-comparison strings).  This is the
+only figure pipeline; ``tests/experiments/test_figure_golden.py`` pins
+its assembled output.  Each runner dispatches on the ``backend`` scenario
+parameter: the default discrete-event engine, or the closed-form analytic
+engine (:mod:`repro.analytic`) that evaluates the same workload thousands
+of times faster — the axis behind the large ``dse_*`` design-space
+sweeps.  Scenario independence is what buys parallel sharding and
+content-addressed caching.
 
-The sweep factories (``fig8_sweep(grid=...)`` etc.) accept the same grid
-parameters as the direct functions so tests and users can build reduced
-or enlarged variants; module import registers the paper-default instance
-of each under its canonical name (``fig8`` … ``fig15``, ``table1/2``,
-``ablation-*``, ``ext-embedding-backward``, and a tiny ``smoke`` sweep
-for CI).
+The sweep factories (``fig8_sweep(grid=...)`` etc.) take grid parameters
+so tests and users can build reduced or enlarged variants:
+``run_sweep(fig9_sweep(grid=...)).figure()``.  Module import registers
+the paper-default instance of each under its canonical name (``fig8`` …
+``fig15``, ``table1/2``, ``ablation-*``, ``ext-embedding-backward``, and
+a tiny ``smoke`` sweep for CI), which ``regenerate(name)`` runs.
 """
 
 from __future__ import annotations
@@ -27,12 +27,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..astra import run_dlrm_scaleout
-from ..bench.figures import (
-    FIG8_GRID,
-    FIG9_GRID,
-    FIG10_GRID,
-    FIG12_GRID,
-)
 from ..bench.harness import FigureResult, Row, compare
 from ..fused.base import OpHarness
 from ..fused.embedding_alltoall import (
@@ -56,6 +50,7 @@ from ..fused.gemv_allreduce import (
 )
 from ..hw.platform import PlatformLike, get_platform, \
     max_occupancy_of_baseline
+from ..models.configs import TABLE2_DLRM, TABLE2_TORUS
 from ..sim import TraceRecorder
 from .registry import assembler, register_sweep, runner
 from .specs import (
@@ -76,7 +71,9 @@ __all__ = [
     "xhw_smoke_sweep", "XHW_PLATFORMS", "xalgo_allreduce_sweep",
     "xalgo_alltoall_sweep", "xalgo_smoke_sweep", "XALGO_ALLREDUCE",
     "XALGO_ALLTOALL", "dse_fused_frontier_sweep", "dse_smoke_sweep",
-    "DSE_PLATFORMS", "DSE_ALGOS", "trace_smoke_sweep",
+    "DSE_PLATFORMS", "DSE_ALGOS", "trace_smoke_sweep", "FIG8_GRID",
+    "FIG9_GRID", "FIG10_GRID", "FIG12_GRID", "FIG13_FRACTIONS",
+    "occupancy_fractions_for",
 ]
 
 
@@ -235,7 +232,14 @@ def _embedding_grad_pair(params: Dict[str, Any]) -> Dict[str, Any]:
 
 @runner("wg_timeline")
 def _wg_timeline(params: Dict[str, Any]) -> Dict[str, Any]:
-    """Fig. 11's traced run; mirrors ``bench.figures.fig11_wg_timeline``."""
+    """Fig. 11's traced run: persistent-WG timeline with put-issue markers.
+
+    The paper profiles batch 2048, tables/GPU 256, slices of 16 WGs on the
+    2-node setup, showing non-blocking PUTs issued mid-kernel, mostly by
+    the last WG of each 16-WG cluster, ahead of local-slice computation.
+    The default scales the batch/tables down (the timeline shape is
+    size-independent) so the trace stays small.
+    """
     p = dict(params)
     _reject_algo(p, "wg_timeline")
     if _scenario_backend(p) == "analytic":
@@ -298,20 +302,42 @@ def _dlrm_scaleout(params: Dict[str, Any]) -> Dict[str, Any]:
 
 @runner("table_setup")
 def _table_setup(params: Dict[str, Any]) -> Dict[str, Any]:
-    from ..bench.figures import table1_setup, table2_setup
+    """Table I (the simulated system, per platform) or Table II (the
+    scale-out simulation parameters) as ``extra`` key/value text."""
     p = dict(params)
     _reject_algo(p, "table_setup")
     _scenario_backend(p)  # table rendering is closed-form on either engine
-    which = p["which"]
-    if which == "table1":
-        fig = table1_setup(platform=p.get("platform"))
+    if p["which"] == "table1":
+        plat = get_platform(p.get("platform"))
+        gpu, link, nic = plat.gpu, plat.link, plat.nic
+        extra = {
+            "GPU": f"{gpu.name} model: {gpu.num_cus} CUs, "
+                   f"{gpu.hbm_bandwidth / 1e12:.2f} TB/s HBM, "
+                   f"{gpu.fp32_flops / 1e12:.1f}/"
+                   f"{gpu.fp16_flops / 1e12:.0f} TFLOP/s fp32/fp16",
+            "Scale-up": f"{plat.gpus_per_node} GPUs fully connected, "
+                        f"{link.bandwidth / 1e9:.0f} GB/s "
+                        f"{link.name} per link",
+            "Scale-out": f"2 nodes x1 GPU over "
+                         f"{nic.bandwidth / 1e9:.0f} GB/s {nic.name}",
+            "Software": "repro SHMEM-like GPU-initiated comm + RCCL-like "
+                        "baseline collectives",
+        }
     else:
-        fig = table2_setup()
-    return {"extra": dict(fig.extra)}
+        extra = {
+            "Embedding dimension": TABLE2_DLRM.embedding_dim,
+            "MLP layers": f"avg size {TABLE2_DLRM.mlp_avg_size}, "
+                          f"#layers {TABLE2_DLRM.mlp_layers}",
+            "Avg pooling size": TABLE2_DLRM.avg_pooling,
+            "Topology": f"2D torus, "
+                        f"{TABLE2_TORUS.link_bandwidth * 8 / 1e9:.0f} Gb/s "
+                        f"links, {TABLE2_TORUS.link_latency * 1e9:.0f} ns",
+        }
+    return {"extra": extra}
 
 
 # ----------------------------------------------------------------------
-# Assemblers: scenario results -> the direct path's FigureResult.
+# Assemblers: scenario results -> the sweep's FigureResult.
 # ----------------------------------------------------------------------
 
 def _visible(specs: Sequence[ScenarioSpec], results: Sequence[Dict]):
@@ -348,7 +374,7 @@ def _assemble_timeline(sweep: SweepSpec, specs, results, figure: str = "",
     res = FigureResult(figure or sweep.title,
                        description or sweep.description)
     # Underscore keys are raw metrics for the diff layer, not part of the
-    # figure (whose extra must match the direct path exactly).
+    # figure's display statistics.
     res.extra.update({k: v for k, v in results[0].items()
                       if not k.startswith("_")})
     return res
@@ -592,6 +618,45 @@ def _assemble_proxy_ablation(sweep: SweepSpec, specs, results,
 # Sweep factories (parameterizable grids) + paper-default registrations.
 # ----------------------------------------------------------------------
 
+#: Default sweep grids (paper configuration labels: {batch | tables/GPU}).
+FIG8_GRID: Sequence[Tuple[int, int]] = (
+    (512, 64), (512, 256), (1024, 64), (1024, 256),
+    (2048, 64), (2048, 256), (4096, 64), (4096, 256),
+)
+FIG12_GRID: Sequence[Tuple[int, int]] = (
+    (256, 64), (256, 256), (512, 256), (1024, 64), (1024, 256),
+    (2048, 256), (4096, 64), (4096, 256),
+)
+FIG9_GRID: Sequence[Tuple[int, int]] = (
+    (8192, 8192), (8192, 16384), (16384, 8192), (16384, 16384),
+    (32768, 8192), (32768, 16384), (65536, 8192), (65536, 16384),
+)
+FIG10_GRID: Sequence[Tuple[int, int, int]] = (
+    (2048, 4096, 8192), (4096, 4096, 8192), (8192, 4096, 8192),
+    (4096, 4096, 14336), (8192, 4096, 14336),
+)
+
+#: The paper's Fig. 13 x-axis (fractions of *baseline* occupancy; the
+#: last point is the MI210 fused kernel's register-pressure maximum).
+FIG13_FRACTIONS: Sequence[float] = (0.25, 0.375, 0.5, 0.625, 0.75, 0.875)
+
+
+def occupancy_fractions_for(platform: PlatformLike,
+                            fractions: Optional[Sequence[float]] = None
+                            ) -> Sequence[float]:
+    """Resolve a Fig. 13 fraction grid against a platform's fused maximum.
+
+    ``None`` means the paper's default grid clipped to what the
+    platform's derived fused footprint can actually reach (on the MI210
+    the grid passes through unchanged).  Explicit fractions are the
+    caller's responsibility and pass through untouched.
+    """
+    if fractions is not None:
+        return fractions
+    max_frac = max_occupancy_of_baseline(get_platform(platform).gpu)
+    return tuple(f for f in FIG13_FRACTIONS if f <= max_frac + 1e-9)
+
+
 def _embedding_pair_scenarios(grid, num_nodes: int, gpus_per_node: int,
                               platform: PlatformLike = None
                               ) -> List[ScenarioSpec]:
@@ -606,6 +671,7 @@ def _embedding_pair_scenarios(grid, num_nodes: int, gpus_per_node: int,
 
 def fig8_sweep(grid=FIG8_GRID, name: str = "fig8",
                platform: PlatformLike = None) -> SweepSpec:
+    """Fig. 8: zero-copy fused embedding + A2A, 4 GPUs intra-node."""
     return SweepSpec.make(
         name, "Fig. 8",
         _embedding_pair_scenarios(grid, num_nodes=1, gpus_per_node=4,
@@ -617,6 +683,7 @@ def fig8_sweep(grid=FIG8_GRID, name: str = "fig8",
 
 def fig12_sweep(grid=FIG12_GRID, name: str = "fig12",
                 platform: PlatformLike = None) -> SweepSpec:
+    """Fig. 12: fused embedding + A2A across 2 IB-connected nodes."""
     return SweepSpec.make(
         name, "Fig. 12",
         _embedding_pair_scenarios(grid, num_nodes=2, gpus_per_node=1,
@@ -628,6 +695,7 @@ def fig12_sweep(grid=FIG12_GRID, name: str = "fig12",
 
 def fig9_sweep(grid=FIG9_GRID, world: int = 4, name: str = "fig9",
                platform: PlatformLike = None) -> SweepSpec:
+    """Fig. 9: zero-copy fused GEMV + AllReduce, 4 GPUs."""
     scenarios = [
         scenario("gemv_allreduce_pair",
                  label=GemvAllReduceConfig(m=m, n_per_gpu=n_total // world,
@@ -644,6 +712,7 @@ def fig9_sweep(grid=FIG9_GRID, world: int = 4, name: str = "fig9",
 
 def fig10_sweep(grid=FIG10_GRID, world: int = 4, name: str = "fig10",
                 platform: PlatformLike = None) -> SweepSpec:
+    """Fig. 10: fused GEMM + A2A (Triton extension), 4 GPUs."""
     scenarios = [
         scenario("gemm_a2a_pair",
                  label=GemmA2AConfig(tokens=tokens, model_dim=model_dim,
@@ -661,6 +730,7 @@ def fig10_sweep(grid=FIG10_GRID, world: int = 4, name: str = "fig10",
 def fig11_sweep(batch: int = 512, tables: int = 32, wgs_per_slice: int = 16,
                 timeline_width: int = 100, name: str = "fig11",
                 platform: PlatformLike = None) -> SweepSpec:
+    """Fig. 11: persistent-WG execution timeline (one traced run)."""
     return SweepSpec.make(
         name, "Fig. 11",
         [scenario("wg_timeline", label=f"{batch}|{tables}",
@@ -675,7 +745,13 @@ def fig13_sweep(batch: int = 1024, tables: int = 256,
                 fractions: Optional[Sequence[float]] = None,
                 name: str = "fig13",
                 platform: PlatformLike = None) -> SweepSpec:
-    from ..bench.figures import occupancy_fractions_for
+    """Fig. 13: fused-kernel execution time across occupancy settings.
+
+    x-axis is occupancy relative to the *baseline* kernel; 87.5% is the
+    fused kernel's register-pressure maximum on the calibrated MI210 (the
+    derived footprint of other platforms differs, and the default grid
+    clips to each platform's own maximum).
+    """
     fractions = occupancy_fractions_for(platform, fractions)
     scenarios = [
         scenario("embedding_fused", label=f"{100 * frac:.1f}%",
@@ -693,6 +769,7 @@ def fig14_sweep(grid: Sequence[Tuple[int, int]] = (
         (1024, 64), (2048, 32), (2048, 64)),
         name: str = "fig14",
         platform: PlatformLike = None) -> SweepSpec:
+    """Fig. 14: per-node completion skew, comm-aware vs oblivious."""
     scenarios = [
         scenario("embedding_fused", label=f"{sched} {batch}|{tables}",
                  global_batch=batch, tables_per_gpu=tables, scheduler=sched,
@@ -709,6 +786,11 @@ def fig14_sweep(grid: Sequence[Tuple[int, int]] = (
 def fig15_sweep(node_counts: Sequence[int] = (16, 32, 64, 128),
                 name: str = "fig15",
                 platform: PlatformLike = None) -> SweepSpec:
+    """Fig. 15: full DLRM training pass at scale (ASTRA-style).
+
+    The headline 128-node statistics come from a hidden scenario when
+    ``node_counts`` leaves 128 out.
+    """
     plat = _platform_param(platform)
     scenarios = [
         scenario("dlrm_scaleout", label=f"{n} nodes", num_nodes=n,
@@ -727,6 +809,7 @@ def fig15_sweep(node_counts: Sequence[int] = (16, 32, 64, 128),
 
 def table1_sweep(name: str = "table1",
                  platform: PlatformLike = None) -> SweepSpec:
+    """Table I: the simulated system's configuration (per platform)."""
     return SweepSpec.make(
         name, "Table I",
         [scenario("table_setup", label="setup", which="table1",
@@ -736,6 +819,7 @@ def table1_sweep(name: str = "table1",
 
 
 def table2_sweep(name: str = "table2") -> SweepSpec:
+    """Table II: scale-out simulation parameters."""
     return SweepSpec.make(
         name, "Table II",
         [scenario("table_setup", label="setup", which="table2")],

@@ -13,7 +13,9 @@ read the run, they never feed back into it.
 Timers measure *host* wall-clock (``time.perf_counter``) and double as
 span recorders: every completed timer appends a ``(name, start, end)``
 host-side span that :mod:`repro.obs.chrome` can export onto a dedicated
-track next to the simulated-time trace.
+track next to the simulated-time trace.  Only the most recent
+:data:`HOST_SPAN_CAP` spans are kept, so a long-running process holds
+bounded memory; timer counts and totals still cover every call.
 
 The JSONL sink (:meth:`MetricsRegistry.write_jsonl`, auto-flushed at
 process exit to ``$REPRO_METRICS_JSONL`` when set) appends one JSON object
@@ -25,10 +27,12 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import Any, Dict, List, Optional, Tuple, Union
+from collections import deque
+from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
 __all__ = [
     "ENV_VAR",
+    "HOST_SPAN_CAP",
     "JSONL_ENV_VAR",
     "MetricsRegistry",
     "NULL_METRICS",
@@ -44,6 +48,8 @@ ENV_VAR = "REPRO_METRICS"
 #: Optional path; when set (and metrics are enabled) a snapshot is appended
 #: as JSON lines at interpreter exit.
 JSONL_ENV_VAR = "REPRO_METRICS_JSONL"
+#: Host spans a registry keeps; older spans are dropped first.
+HOST_SPAN_CAP = 100_000
 
 Number = Union[int, float]
 
@@ -90,9 +96,10 @@ class MetricsRegistry:
         self.gauges: Dict[str, Number] = {}
         #: name -> [count, total_seconds]
         self.timers: Dict[str, List[float]] = {}
-        #: completed host wall-clock spans: (name, start, end) in
-        #: ``perf_counter`` seconds.
-        self.host_spans: List[Tuple[str, float, float]] = []
+        #: the most recent completed host wall-clock spans:
+        #: (name, start, end) in ``perf_counter`` seconds.
+        self.host_spans: Deque[Tuple[str, float, float]] = deque(
+            maxlen=HOST_SPAN_CAP)
 
     @property
     def enabled(self) -> bool:

@@ -445,59 +445,31 @@ class Simulator:
         """
         if until is not None and until < self._now:
             raise ValueError(f"until={until} is in the past (now={self._now})")
-        self._until = float("inf") if until is None else until
-        m = _metrics()
-        if m.enabled:
-            return self._run_instrumented(until, m)
+        self._until = end = float("inf") if until is None else until
         # The event loop is the single hottest function in the library; it is
         # deliberately inlined (no step() call, hoisted locals) — worth ~15%
-        # of end-to-end figure-regeneration time.
-        heap = self._heap
-        pop = heapq.heappop
-        if until is None:
-            while heap:
-                t, _prio, _seq, event = pop(heap)
-                self._now = t
-                event._process()
-        else:
-            while heap:
-                if heap[0][0] > until:
-                    break
-                t, _prio, _seq, event = pop(heap)
-                self._now = t
-                event._process()
-            self._now = until
-        return self._now
-
-    def _run_instrumented(self, until: Optional[float], m) -> float:
-        """The event loop with run-metrics bookkeeping (events processed,
-        event-heap peak).  Identical scheduling semantics to :meth:`run` —
-        the observability layer may count, never reorder."""
+        # of end-to-end figure-regeneration time.  Events processed and the
+        # heap peak are counted in locals and reach the run-metrics registry
+        # only when it is live; the bookkeeping may count, never reorder.
         heap = self._heap
         pop = heapq.heappop
         n = 0
         peak = len(heap)
-        if until is None:
-            while heap:
-                if len(heap) > peak:
-                    peak = len(heap)
-                t, _prio, _seq, event = pop(heap)
-                self._now = t
-                event._process()
-                n += 1
-        else:
-            while heap:
-                if heap[0][0] > until:
-                    break
-                if len(heap) > peak:
-                    peak = len(heap)
-                t, _prio, _seq, event = pop(heap)
-                self._now = t
-                event._process()
-                n += 1
+        while heap:
+            if heap[0][0] > end:
+                break
+            if len(heap) > peak:
+                peak = len(heap)
+            t, _prio, _seq, event = pop(heap)
+            self._now = t
+            event._process()
+            n += 1
+        if until is not None:
             self._now = until
-        m.inc("sim.events_processed", n)
-        m.gauge_max("sim.heap_peak", peak)
+        m = _metrics()
+        if m.enabled:
+            m.inc("sim.events_processed", n)
+            m.gauge_max("sim.heap_peak", peak)
         return self._now
 
     def run_process(self, generator: Generator, name: Optional[str] = None) -> Any:

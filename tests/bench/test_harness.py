@@ -1,17 +1,16 @@
-"""Tests for the benchmark harness and figure definitions."""
+"""Tests for the benchmark harness and the figure sweeps built on it."""
 
 import pytest
 
-from repro.bench import (
-    FigureResult,
-    Row,
-    compare,
-    fig9_gemv_allreduce,
-    fig11_wg_timeline,
-    fig13_occupancy_sweep,
-    fig15_scaleout,
-    table1_setup,
-    table2_setup,
+from repro.bench import FigureResult, Row, compare
+from repro.experiments import run_sweep
+from repro.experiments.figures import (
+    fig9_sweep,
+    fig11_sweep,
+    fig13_sweep,
+    fig15_sweep,
+    table1_sweep,
+    table2_sweep,
 )
 from repro.fused import (
     BaselineEmbeddingAllToAll,
@@ -59,32 +58,33 @@ def test_compare_runs_fresh_clusters():
 
 
 def test_table_setups_have_paper_values():
-    t1 = table1_setup()
+    t1 = run_sweep(table1_sweep()).figure()
     assert "104 CUs" in t1.extra["GPU"]
-    t2 = table2_setup()
+    t2 = run_sweep(table2_sweep()).figure()
     assert t2.extra["Embedding dimension"] == 92
 
 
 def test_fig9_reduced_grid_shape():
-    res = fig9_gemv_allreduce(grid=((8192, 8192), (65536, 8192)))
+    res = run_sweep(fig9_sweep(grid=((8192, 8192), (65536, 8192)))).figure()
     assert len(res.rows) == 2
     assert res.rows[0].normalized < res.rows[1].normalized
 
 
 def test_fig11_small_trace():
-    res = fig11_wg_timeline(batch=128, tables=8, wgs_per_slice=8)
+    res = run_sweep(fig11_sweep(batch=128, tables=8,
+                                wgs_per_slice=8)).figure()
     assert res.extra["puts_issued_node0"] > 0
     assert "timeline" in res.extra
 
 
 def test_fig13_sparse_sweep():
-    res = fig13_occupancy_sweep(batch=512, tables=64,
-                                fractions=(0.25, 0.75, 0.875))
+    res = run_sweep(fig13_sweep(batch=512, tables=64,
+                                fractions=(0.25, 0.75, 0.875))).figure()
     t = {r.label: r.fused_time for r in res.rows}
     assert t["75.0%"] < t["25.0%"] and t["87.5%"] > t["75.0%"]
 
 
 def test_fig15_small_sweep():
-    res = fig15_scaleout(node_counts=(16, 128))
+    res = run_sweep(fig15_sweep(node_counts=(16, 128))).figure()
     assert len(res.rows) == 2
     assert all(r.normalized < 1.0 for r in res.rows)

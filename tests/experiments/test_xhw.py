@@ -2,7 +2,6 @@
 
 import json
 
-from repro.bench.figures import fig9_gemv_allreduce
 from repro.experiments import figures as orch
 from repro.experiments import run_sweep
 from repro.fused.base import OpHarness
@@ -23,16 +22,16 @@ def _normalize(figure_result):
 
 def test_xhw_mi210_rows_match_direct_figure_path():
     """The mi210 slice of a cross-hardware sweep must be byte-identical to
-    the seed's direct figure path (platform is a no-op at the default)."""
-    direct = fig9_gemv_allreduce(grid=SMALL_GRID)
+    the Fig. 9 sweep (platform is a no-op at the default)."""
+    fig9 = run_sweep(orch.fig9_sweep(grid=SMALL_GRID)).figure()
     sweep = orch.xhw_gemv_allreduce_sweep(grid=SMALL_GRID,
                                           platforms=("mi210",),
                                           name="eq-xhw-mi210")
     fig = run_sweep(sweep).figure()
-    [direct_row] = direct.rows
+    [fig9_row] = fig9.rows
     [xhw_row] = fig.rows
-    assert xhw_row.fused_time == direct_row.fused_time
-    assert xhw_row.baseline_time == direct_row.baseline_time
+    assert xhw_row.fused_time == fig9_row.fused_time
+    assert xhw_row.baseline_time == fig9_row.baseline_time
 
 
 def test_op_harness_platform_mi210_is_bit_identical_to_default():
@@ -126,7 +125,7 @@ def test_fig13_and_slice_ablation_adapt_to_platform_occupancy_ceiling():
 
 
 def test_fig13_runs_on_h100_without_crashing():
-    from repro.bench.figures import fig13_occupancy_sweep
-    fig = fig13_occupancy_sweep(batch=256, tables=16, platform="h100")
+    fig = run_sweep(orch.fig13_sweep(batch=256, tables=16,
+                                     platform="h100")).figure()
     assert fig.rows and max(float(r.label.rstrip("%")) for r in fig.rows) \
         == 75.0

@@ -1,9 +1,12 @@
 """Unit tests for the run-metrics registry and its NULL pattern."""
 
+import itertools
 import json
 
+from repro.obs import metrics as metrics_module
 from repro.obs.metrics import (
     ENV_VAR,
+    HOST_SPAN_CAP,
     NULL_METRICS,
     MetricsRegistry,
     disable_metrics,
@@ -51,6 +54,29 @@ def test_timer_records_count_total_and_span():
     assert len(m.host_spans) == 2
     name, t0, t1 = m.host_spans[0]
     assert name == "phase" and t1 >= t0
+
+
+def test_host_spans_keep_only_the_most_recent(monkeypatch):
+    """Past the cap the oldest spans are dropped; timer counts and totals
+    still cover every call."""
+    ticks = itertools.count()
+    monkeypatch.setattr(metrics_module.time, "perf_counter",
+                        lambda: float(next(ticks)))
+    m = MetricsRegistry()
+    dropped = 3
+    for _ in range(dropped):
+        with m.timer("old"):
+            pass
+    for _ in range(HOST_SPAN_CAP):
+        with m.timer("new"):
+            pass
+    assert len(m.host_spans) == HOST_SPAN_CAP
+    assert {name for name, _, _ in m.host_spans} == {"new"}
+    # Each span is one tick long, so the oldest kept span starts right
+    # after the dropped ones end.
+    assert m.host_spans[0] == ("new", 2.0 * dropped, 2.0 * dropped + 1)
+    assert m.timers["old"] == [dropped, float(dropped)]
+    assert m.timers["new"] == [HOST_SPAN_CAP, float(HOST_SPAN_CAP)]
 
 
 def test_clear_empties_everything():
