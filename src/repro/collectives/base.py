@@ -62,9 +62,14 @@ AUTO = "auto"
 TREE_MAX_BYTES = 32 * 1024
 
 #: Below this per-pair All-to-All chunk the NIC's per-message overhead
-#: dominates the wire time, and round-serialized pairwise exchange beats
-#: the flat everyone-at-once incast.
-PAIRWISE_MAX_BYTES = 64 * 1024
+#: dominates the wire time, so the selector stages the exchange (``hier``,
+#: or ``pairwise`` on 1-GPU nodes) instead of the flat everyone-at-once
+#: incast.  The calibrated NIC is overhead-bound below ~6 KB
+#: (0.3 us x 20 GB/s); ``hier``'s extra fabric hop moves its break-even
+#: with ``flat`` down to 3-6 KB by shape; past it ``hier`` loses up to
+#: 13% on 2x2.  At 4 KB ``auto`` stays within 2% of ``flat`` on every
+#: multi-GPU shape up to 8x8.
+PAIRWISE_MAX_BYTES = 4 * 1024
 
 
 @dataclass(frozen=True)

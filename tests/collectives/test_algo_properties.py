@@ -10,7 +10,7 @@
   selector's own operating points (the heuristic must not pessimize).
 """
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.analytic import CommModel
@@ -61,6 +61,7 @@ def test_ring_allreduce_monotone_in_message_size(shape, n_elems, factor):
 @given(shape=shapes,
        chunk=st.floats(min_value=8.0, max_value=float(1 << 24)))
 @settings(max_examples=60, deadline=None)
+@example(shape=(2, 2), chunk=8180.0)  # past hier's break-even on 2x2
 def test_auto_alltoall_never_pessimizes_the_default(shape, chunk):
     num_nodes, gpus_per_node = shape
     topo = CommTopology(num_nodes, gpus_per_node)
