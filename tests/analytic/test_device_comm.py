@@ -13,7 +13,7 @@ from repro.analytic import CommModel, device_model
 from repro.fused.base import OpHarness
 from repro.hw.gpu import Gpu, WgCost
 from repro.hw.platform import get_platform, list_platforms
-from repro.kernels import PersistentKernel, bulk_kernel_time, \
+from repro.kernels import PersistentKernel, WgTask, bulk_kernel_time, \
     make_uniform_tasks
 from repro.sim import Simulator
 
@@ -48,20 +48,43 @@ def test_wg_time_matches_gpu_duration(name):
             assert d.wg_time(cost, occ) == gpu.wg_duration(cost, occ)
 
 
+#: Grid-selection cases named relative to the kernel's resident WGs R:
+#: (work-bearing tasks, zero-cost bookkeeping tasks, expected grid).
+_GRID_CASES = {
+    # 8 rounds of work: the last balanced loop length.
+    "7R+1": lambda R: (7 * R + 1, 0, -(-(7 * R + 1) // 8)),
+    # 9 rounds: the tail is amortized, so the full grid launches.
+    "8R+1": lambda R: (8 * R + 1, 0, R),
+    # 8R+1 tasks, but only the 7R+1 work-bearing ones drive the grid.
+    "7R+1 work+R bookkeeping": lambda R: (7 * R + 1, R, -(-(7 * R + 1) // 8)),
+    # No work at all: every task counts.
+    "50 bookkeeping": lambda R: (0, 50, 50),
+}
+
+
 @pytest.mark.parametrize("n_tasks,limit", [
     (100, None), (3000, None), (10000, None), (3000, 0.5), (64, 0.25),
+    *((case, None) for case in _GRID_CASES),
 ])
 def test_persistent_occupancy_mirrors_kernel_grid(n_tasks, limit):
-    plat = get_platform("mi210")
-    d = device_model(plat)
-    gpu = Gpu(Simulator(), plat.gpu, gpu_id=0)
-    kern = PersistentKernel(gpu, d.fused_res,
-                            make_uniform_tasks(n_tasks, COSTS[0]),
-                            occupancy_limit=limit)
-    occ = d.persistent_occupancy(d.fused_res, n_tasks,
-                                 occupancy_limit=limit)
-    assert occ == kern.occupancy
-    assert d.n_slots(occ, n_tasks) == kern.n_slots
+    for plat in list_platforms():
+        d = device_model(plat)
+        gpu = Gpu(Simulator(), plat.gpu, gpu_id=0)
+        R = d.occupancy(d.fused_res).resident_wgs
+        n_work, n_book, grid = (_GRID_CASES[n_tasks](R)
+                                if isinstance(n_tasks, str)
+                                else (n_tasks, 0, None))
+        tasks = [WgTask(task_id=i, cost=WgCost()) for i in range(n_book)]
+        if n_work:
+            tasks += make_uniform_tasks(n_work, COSTS[0])
+        kern = PersistentKernel(gpu, d.fused_res, tasks,
+                                occupancy_limit=limit)
+        occ = d.persistent_occupancy(d.fused_res, len(tasks),
+                                     n_work=n_work, occupancy_limit=limit)
+        assert occ == kern.occupancy, plat.name
+        assert d.n_slots(occ, len(tasks)) == kern.n_slots, plat.name
+        if grid is not None:
+            assert occ.resident_wgs == grid, plat.name
 
 
 @pytest.mark.parametrize("num_nodes,gpus_per_node", [(1, 4), (2, 1), (2, 2)])
