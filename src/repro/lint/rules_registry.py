@@ -8,11 +8,16 @@ a typo'd name survives import, passes ``list``, and only explodes when
 the scenario finally executes — or worse, inside a spawn worker.  This
 check cross-references the string literals statically.
 
-``layering`` — the simulation core must stay importable without the
-observability package: ``sim/`` modules may not import ``repro.obs`` at
-module scope (PR 7 threaded metrics into the engine through a
-lazily-bound ``_metrics()`` indirection for exactly this reason; obs sits
-*above* sim in the layering and imports it back).
+``layering`` — the dependency direction holds in two places.  The
+simulation core must stay importable without the observability package:
+``sim/`` modules may not import ``repro.obs`` at module scope (PR 7
+threaded metrics into the engine through a lazily-bound ``_metrics()``
+indirection for exactly this reason; obs sits *above* sim in the
+layering and imports it back).  And the analytic backend sits above the
+device, simulation and operator layers it evaluates: ``hw/``, ``sim/``,
+``kernels/``, ``comm/``, ``collectives/`` and ``fused/`` may not import
+``repro.analytic`` at all, not even lazily inside a function — the one
+device model in ``hw/gpu.py`` is what both backends share.
 """
 
 from __future__ import annotations
@@ -105,36 +110,61 @@ def check_registry_integrity(ctx: LintContext) -> Iterator[Finding]:
                 f"fail at execution time, possibly inside a spawn worker")
 
 
+#: Packages the analytic backend builds on; none may import it back.
+_BELOW_ANALYTIC = tuple(f"src/repro/{pkg}/" for pkg in (
+    "hw", "sim", "kernels", "comm", "collectives", "fused"))
+
+
+def _imported_modules(src, node: ast.AST) -> List[str]:
+    """Absolute names an import statement binds from, relative forms
+    resolved against ``src``'s package (``from . import x`` -> ``pkg.x``)."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    if not node.level:
+        base = node.module or ""
+    else:
+        package = src.module.split(".")
+        if not src.relpath.endswith("__init__.py"):
+            package = package[:-1]
+        if node.level > 1:
+            package = package[: -(node.level - 1)]
+        base = ".".join(package + ([node.module] if node.module else []))
+    return [base] + [f"{base}.{alias.name}" for alias in node.names]
+
+
+def _within(name: str, package: str) -> bool:
+    return name == package or name.startswith(package + ".")
+
+
 @lint_rule(
     "layering",
     "sim/ must not import repro.obs at module scope (the engine binds "
-    "metrics lazily)")
+    "metrics lazily); hw/, sim/, kernels/, comm/, collectives/ and fused/ "
+    "must not import repro.analytic at all")
 def check_layering(ctx: LintContext) -> Iterator[Finding]:
-    for src in ctx.files_under("src/repro/sim/"):
+    for src in ctx.files_under(*_BELOW_ANALYTIC):
+        in_sim = src.relpath.startswith("src/repro/sim/")
         for node in ast.walk(src.tree):
-            target = None
-            if isinstance(node, ast.ImportFrom):
-                # Resolve the relative form against this module's package.
-                package = src.module.rsplit(".", 1)[0]  # repro.sim
-                if node.level:
-                    base = package.split(".")
-                    if node.level > 1:
-                        base = base[: -(node.level - 1)]
-                    target = ".".join(base + ([node.module]
-                                              if node.module else []))
-                else:
-                    target = node.module or ""
-            elif isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name.startswith("repro.obs"):
-                        target = alias.name
-                        break
-            if not target or not target.startswith("repro.obs"):
+            names = _imported_modules(src, node)
+            analytic = next((n for n in names
+                             if _within(n, "repro.analytic")), None)
+            if analytic:
+                yield Finding(
+                    src.relpath, node.lineno, "layering",
+                    f"import of {analytic} below the analytic backend; "
+                    f"it builds on this package, so the dependency must "
+                    f"only point the other way (shared device timing "
+                    f"lives in repro.hw.gpu)")
+                continue
+            obs = next((n for n in names if _within(n, "repro.obs")), None)
+            if not in_sim or not obs:
                 continue
             if any(isinstance(a, _FUNCS) for a in src.ancestors(node)):
                 continue        # lazy, inside-function import: the pattern
             yield Finding(
                 src.relpath, node.lineno, "layering",
-                f"module-scope import of {target} from the simulation "
+                f"module-scope import of {obs} from the simulation "
                 f"core; obs sits above sim — bind it lazily inside the "
                 f"function that needs it (see sim/engine.py:_metrics)")

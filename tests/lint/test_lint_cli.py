@@ -51,7 +51,7 @@ def test_json_document_schema(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["schema"] == FINDINGS_SCHEMA
     assert doc["rules"] == ["determinism", "layering"]
-    assert doc["count"] == len(doc["findings"]) == 11
+    assert doc["count"] == len(doc["findings"]) == 14
     for f in doc["findings"]:
         assert set(f) == {"file", "line", "rule", "message"}
         assert not Path(f["file"]).is_absolute()

@@ -79,8 +79,20 @@ class TestHotPath:
 class TestLayering:
     def test_module_scope_obs_imports_flagged(self):
         found = _findings("layering")
-        assert [f.file for f in found] == ["src/repro/sim/engine.py"] * 2
+        assert {f.file for f in found} == {"src/repro/hw/gpu.py",
+                                           "src/repro/sim/engine.py"}
         assert sorted(_lines(found, "src/repro/sim/engine.py")) == [3, 4]
+
+    def test_analytic_imports_below_it_flagged_even_lazily(self):
+        found = _findings("layering")
+        lines = (FIXTURE / "src/repro/hw/gpu.py").read_text().splitlines()
+        flagged = {lines[n - 1].strip()
+                   for n in _lines(found, "src/repro/hw/gpu.py")}
+        assert flagged == {
+            "from ..analytic.device import device_model",
+            "from repro.analytic import CommModel",
+            "from .. import analytic",
+        }
 
     def test_lazy_in_function_import_passes(self):
         found = _findings("layering")
