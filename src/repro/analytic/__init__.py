@@ -6,9 +6,10 @@ physics — roofline WG timing with the HBM ramp/knee, alpha-beta(-gamma)
 link/NIC models, occupancy-scaled compute/communication overlap — in
 closed form, with no event loop.
 
-The backend deliberately *shares* the DES's pure cost models
-(:func:`repro.hw.gpu.occupancy_for`, :class:`repro.hw.memory.HbmModel`,
-the ``repro.ops`` WG cost functions, the :mod:`repro.astra` graphs): where
+The backend deliberately *shares* the DES's pure cost models (the one
+device model of :mod:`repro.hw.gpu` — occupancy, WG roofline, kernel
+spans, persistent-grid selection, copy and reduce times — the
+``repro.ops`` WG cost functions, the :mod:`repro.astra` graphs): where
 the simulator is already analytic at heart, the two engines agree exactly;
 where event interleaving matters (persistent-kernel queues, link
 contention, flag waits) the backend substitutes explicit serial-fraction

@@ -103,21 +103,6 @@ class CommModel:
     def launch(self) -> float:
         return self.device.spec.kernel_launch_overhead
 
-    def local_copy_time(self, nbytes: float) -> float:
-        """Blit-kernel local copy: read + write through HBM (full occ)."""
-        return 2.0 * nbytes / self.device.hbm_bandwidth(1.0)
-
-    def reduce_time(self, n_elems, n_sources: int, itemsize):
-        """Mirror of ``CollectiveLibrary._reduce_time``."""
-        if n_sources <= 1:
-            return 0.0
-        xp = xp_of(n_elems, itemsize)
-        flops = xp.asfloat(n_elems) * (n_sources - 1)
-        read_bytes = xp.asfloat(n_elems) * itemsize * n_sources
-        flop_t = flops / self.device.spec.flop_rate("fp32")
-        mem_t = read_bytes / self.device.hbm_bandwidth(1.0)
-        return xp.maximum(flop_t, mem_t)
-
     def blit_route_time(self, nbytes: float, remote_node: bool) -> float:
         """One baseline-collective chunk: blit staging intra-node, RDMA
         (no blit, no proxy — collectives are host-launched) inter-node."""

@@ -42,7 +42,13 @@ from ..fused.embedding_alltoall import ITEMSIZE, EmbeddingA2AConfig
 from ..fused.embedding_grad_alltoall import _scatter_cost
 from ..fused.gemm_alltoall import GemmA2AConfig
 from ..fused.gemv_allreduce import GemvAllReduceConfig
-from ..hw.gpu import WgCost
+from ..hw.gpu import (
+    WgCost,
+    bulk_kernel_time,
+    persistent_occupancy,
+    task_time,
+    wg_time,
+)
 from ..hw.platform import PlatformLike, get_platform
 from ..ops.embedding import embedding_wg_cost
 from ..ops.gemm import gemm_wg_cost
@@ -162,16 +168,16 @@ def _embedding_fused_time(num_nodes: int, gpus_per_node: int,
     per_dest_tasks = T * n_s * tps
     n_tasks = world * per_dest_tasks
 
-    occ = d.persistent_occupancy(
-        d.fused_res, n_tasks,
+    occ = persistent_occupancy(
+        d, d.fused_res, n_tasks,
         occupancy_limit=_occupancy_limit(d, cfg.occupancy_of_baseline))
     slots = d.n_slots(occ, n_tasks)
 
     base_cost = embedding_wg_cost(cfg.pooling, cfg.dim, ITEMSIZE).plus(
         fixed=spec.flag_op_latency)
     zc_cost = base_cost.with_bytes(base_cost.bytes - cfg.dim * ITEMSIZE)
-    dur_base = d.task_time(base_cost, occ, repeat)
-    dur_zc = d.task_time(zc_cost, occ, repeat)
+    dur_base = task_time(d, base_cost, occ, repeat)
+    dur_zc = task_time(d, zc_cost, occ, repeat)
     # Destination classes as seen from any rank (the topology is symmetric).
     same_node_remote = gpus_per_node - 1
     other_node = world - gpus_per_node
@@ -236,8 +242,8 @@ def _embedding_baseline_time(num_nodes: int, gpus_per_node: int,
     d = device_model(plat)
     cm = CommModel(plat, num_nodes, gpus_per_node)
     cost = embedding_wg_cost(cfg.pooling, cfg.dim, ITEMSIZE)
-    compute = cfg.tables_per_gpu * d.bulk_kernel_time(
-        cfg.global_batch, cost, d.base_res)
+    compute = cfg.tables_per_gpu * bulk_kernel_time(
+        d, cfg.global_batch, cost, d.base_res)
     chunk = xp_of(cfg.global_batch, cfg.tables_per_gpu, cfg.dim).asfloat(
         cfg.local_batch(world) * cfg.tables_per_gpu * cfg.dim * ITEMSIZE)
     return compute + cm.alltoall_time(chunk, algo=cfg.algo)
@@ -303,15 +309,15 @@ def predict_embedding_grad_a2a(num_nodes: int = 2, gpus_per_node: int = 1,
     n_send = world * T * n_s
     slice_bytes = cfg.slice_bytes()
 
-    occ = d.persistent_occupancy(d.fused_res, 2 * n_send, n_work=n_send)
+    occ = persistent_occupancy(d, d.fused_res, 2 * n_send, n_work=n_send)
     slots = d.n_slots(occ, 2 * n_send)
     send_cost = WgCost(bytes=slice_bytes, dtype="fp32",
                        fixed=spec.flag_op_latency)
-    send_dur = d.task_time(send_cost, occ)
+    send_dur = task_time(d, send_cost, occ)
     n_remote = (world - 1) * T * n_s
     send_total = n_send * send_dur + n_remote * spec.shmem_api_latency
 
-    apply_dur = d.wg_time(_scatter_cost(cfg, cfg.slice_vectors), occ)
+    apply_dur = wg_time(d, _scatter_cost(cfg, cfg.slice_vectors), occ)
     apply_total = n_send * (spec.wg_dispatch_overhead + apply_dur)
 
     launch = spec.kernel_launch_overhead
@@ -336,8 +342,8 @@ def predict_embedding_grad_a2a(num_nodes: int = 2, gpus_per_node: int = 1,
     # Baseline: All-to-All kernel, then a bulk scatter-add kernel.
     chunk = xp.asfloat(cfg.local_batch(world) * T * cfg.dim * ITEMSIZE)
     baseline = (cm.alltoall_time(chunk, algo=cfg.algo)
-                + d.bulk_kernel_time(cfg.global_batch * T,
-                                     _scatter_cost(cfg, 1), d.base_res))
+                + bulk_kernel_time(d, cfg.global_batch * T,
+                                   _scatter_cost(cfg, 1), d.base_res))
     return {"fused_time": finish, "baseline_time": baseline}
 
 
@@ -362,7 +368,7 @@ def predict_gemv_allreduce(world: int = 4, platform: PlatformLike = None,
     n_b = tiles_per_owner
     tile_bytes = cfg.tile_bytes()
 
-    occ = d.persistent_occupancy(d.fused_res, n_a + n_b, n_work=n_a)
+    occ = persistent_occupancy(d, d.fused_res, n_a + n_b, n_work=n_a)
     slots = d.n_slots(occ, n_a + n_b)
     base_cost = gemv_wg_cost(cfg.tile_rows, cfg.n_per_gpu, cfg.itemsize)
     base_cost = WgCost(base_cost.flops, base_cost.bytes, cfg.flop_dtype,
@@ -370,8 +376,8 @@ def predict_gemv_allreduce(world: int = 4, platform: PlatformLike = None,
     zc_cost = base_cost.with_bytes(base_cost.bytes
                                    - cfg.tile_rows * cfg.itemsize)
     t_a = _queue_span(
-        tiles_per_owner * (d.task_time(base_cost, occ)
-                           + (world - 1) * d.task_time(zc_cost, occ)),
+        tiles_per_owner * (task_time(d, base_cost, occ)
+                           + (world - 1) * task_time(d, zc_cost, occ)),
         n_a, slots)
     launch = spec.kernel_launch_overhead
     # Every owner's partialRdy: the last streamed tile plus its chained
@@ -383,7 +389,7 @@ def predict_gemv_allreduce(world: int = 4, platform: PlatformLike = None,
                          bytes=xp.asfloat((world + 1) * cfg.tile_rows
                                           * cfg.itemsize),
                          dtype="fp32")
-    reduce_dur = d.wg_time(reduce_cost, occ)
+    reduce_dur = wg_time(d, reduce_cost, occ)
     rounds_b = xp.ceil(n_b / slots)
     t_b = rounds_b * (spec.wg_dispatch_overhead + reduce_dur)
     # All-gather phase: each owner streams its reduced chunk to every peer
@@ -395,8 +401,8 @@ def predict_gemv_allreduce(world: int = 4, platform: PlatformLike = None,
     # Baseline: bulk GEMV kernel, then RCCL-like direct AllReduce.
     bulk_cost = gemv_wg_cost(cfg.tile_rows, cfg.n_per_gpu, cfg.itemsize)
     bulk_cost = WgCost(bulk_cost.flops, bulk_cost.bytes, cfg.flop_dtype, 0.0)
-    baseline = (d.bulk_kernel_time(cfg.m // cfg.tile_rows, bulk_cost,
-                                   d.base_res)
+    baseline = (bulk_kernel_time(d, cfg.m // cfg.tile_rows, bulk_cost,
+                                 d.base_res)
                 + cm.allreduce_time(xp.asfloat(cfg.m * cfg.itemsize), cfg.m,
                                     itemsize=cfg.itemsize,
                                     algo=cfg.algo or "direct"))
@@ -423,15 +429,15 @@ def predict_gemm_a2a(world: int = 4, platform: PlatformLike = None,
     tiles_per_dest = n_tasks // world
     tile_wire = cfg.tile_wire_bytes()
 
-    occ = d.persistent_occupancy(d.fused_res, n_tasks)
+    occ = persistent_occupancy(d, d.fused_res, n_tasks)
     slots = d.n_slots(occ, n_tasks)
     base_cost = gemm_wg_cost(cfg.block_m, cfg.block_n, cfg.model_dim,
                              itemsize=cfg.itemsize,
                              dtype=cfg.flop_dtype).plus(
         fixed=spec.flag_op_latency)
     zc_cost = base_cost.with_bytes(base_cost.bytes - tile_wire)
-    dur_base = d.task_time(base_cost, occ)
-    dur_zc = d.task_time(zc_cost, occ)
+    dur_base = task_time(d, base_cost, occ)
+    dur_zc = task_time(d, zc_cost, occ)
     # Every tile's hook issues a put (self-puts are free but still charge
     # the API latency to the issuing WG).
     remote_compute = ((world - 1) * tiles_per_dest
@@ -455,7 +461,7 @@ def predict_gemm_a2a(world: int = 4, platform: PlatformLike = None,
     tps = cfg.tokens_per_src(world)
     chunk = xp_of(tps, cfg.ffn_dim, cfg.itemsize).asfloat(
         tps * cfg.ffn_dim * cfg.itemsize)
-    baseline = (d.bulk_kernel_time(n_tasks, bulk_cost, d.base_res)
+    baseline = (bulk_kernel_time(d, n_tasks, bulk_cost, d.base_res)
                 + cm.alltoall_time(chunk, algo=cfg.algo))
     return {"fused_time": fused, "baseline_time": baseline}
 

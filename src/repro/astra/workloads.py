@@ -25,9 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..fused.base import baseline_kernel_resources, fused_kernel_resources
-from ..hw.gpu import Gpu
+from ..hw.gpu import Gpu, bulk_kernel_time, task_time
 from ..hw.platform import PlatformLike, get_platform
-from ..kernels.kernel import bulk_kernel_time
 from ..models.configs import DlrmModelConfig
 from ..ops.embedding import embedding_wg_cost
 from ..ops.mlp import mlp_time_on_gpu
@@ -108,8 +107,7 @@ def compute_kernel_times(model: DlrmModelConfig, network: TorusNetwork,
     fused_occ = gpu.occupancy(fused_kernel_resources(gpu.spec))
     rounds = max(1.0, n_vectors / fused_occ.resident_wgs)
     embed_fused_fwd = (gpu.spec.kernel_launch_overhead
-                       + rounds * (gpu.wg_duration(cost, fused_occ)
-                                   + gpu.spec.wg_dispatch_overhead))
+                       + task_time(gpu, cost, fused_occ, rounds))
 
     # Collectives.
     a2a = network.alltoall_time(model.alltoall_bytes_per_node())

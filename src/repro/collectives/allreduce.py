@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import List, Tuple
 
+from ..hw.gpu import reduce_time
 from ..utils.xp import xp_of
 from .base import (
     AllReduceAlgorithm,
@@ -74,8 +75,8 @@ class DirectAllReduce(AllReduceAlgorithm):
             evs = [lib._route(r, dst, chunk_bytes)
                    for dst in range(world) if dst != r]
             yield lib.sim.all_of(evs)
-            yield lib.sim.timeout(lib._reduce_time(
-                r, chunk_elems, world, itemsize))
+            yield lib.sim.timeout(reduce_time(
+                lib.cluster.gpu(r), chunk_elems, world, itemsize))
             evs = [lib._route(r, dst, chunk_bytes)
                    for dst in range(world) if dst != r]
             yield lib.sim.all_of(evs)
@@ -97,7 +98,7 @@ class DirectAllReduce(AllReduceAlgorithm):
             phase = xp_of(chunk_bytes).maximum(phase, cm.nic_pipeline_time(
                 topo.gpus_per_node * remote_gpus, chunk_bytes))
         return (cm.launch() + 2 * phase
-                + cm.reduce_time(chunk_elems, world, itemsize))
+                + reduce_time(cm.device, chunk_elems, world, itemsize))
 
 
 class RingAllReduce(AllReduceAlgorithm):
@@ -119,8 +120,8 @@ class RingAllReduce(AllReduceAlgorithm):
                 def rank_proc(r, reduce_phase=(phase == 0)):
                     yield lib._route(r, (r + 1) % world, chunk_bytes)
                     if reduce_phase:
-                        yield lib.sim.timeout(lib._reduce_time(
-                            r, chunk_elems, 2, itemsize))
+                        yield lib.sim.timeout(reduce_time(
+                            lib.cluster.gpu(r), chunk_elems, 2, itemsize))
                 yield from lib._run_ranks(rank_proc(r)
                                           for r in range(world))
 
@@ -131,7 +132,7 @@ class RingAllReduce(AllReduceAlgorithm):
         chunk_bytes, chunk_elems = _chunked(nbytes, n_elems, world)
         sends = [(r, (r + 1) % world) for r in range(world)]
         hop = _route_max(cm, topo, sends, chunk_bytes)
-        reduce = cm.reduce_time(chunk_elems, 2, itemsize)
+        reduce = reduce_time(cm.device, chunk_elems, 2, itemsize)
         return cm.launch() + (world - 1) * (2 * hop + reduce)
 
 
@@ -167,7 +168,8 @@ class TreeAllReduce(AllReduceAlgorithm):
         rounds = _tree_rounds(world)
         for _d, sends in rounds:                    # reduce to rank 0
             yield from lib._run_ranks(send_proc(s, t) for s, t in sends)
-            reduce = lib._reduce_time(sends[0][1], n_elems, 2, itemsize)
+            reduce = reduce_time(lib.cluster.gpu(sends[0][1]), n_elems, 2,
+                                 itemsize)
             if reduce:
                 yield lib.sim.timeout(reduce)
         for _d, sends in reversed(rounds):          # broadcast back down
@@ -177,7 +179,7 @@ class TreeAllReduce(AllReduceAlgorithm):
         world = topo.world
         if world == 1:
             return cm.launch()
-        reduce = cm.reduce_time(n_elems, 2, itemsize)
+        reduce = reduce_time(cm.device, n_elems, 2, itemsize)
         total = cm.launch()
         for _d, sends in _tree_rounds(world):
             hop = _route_max(cm, topo, sends, nbytes)
@@ -218,8 +220,8 @@ class HierarchicalAllReduce(AllReduceAlgorithm):
         yield from lib._run_ranks(
             gather_proc(r) for r in range(topo.world)
             if r != topo.leader_of(r))
-        yield lib.sim.timeout(lib._reduce_time(
-            0, n_elems, topo.gpus_per_node, itemsize))
+        yield lib.sim.timeout(reduce_time(
+            lib.cluster.gpu(0), n_elems, topo.gpus_per_node, itemsize))
 
         # Stage 2 — ring AllReduce among the node leaders over the NIC.
         leaders = topo.leaders()
@@ -231,8 +233,9 @@ class HierarchicalAllReduce(AllReduceAlgorithm):
                                      leaders[(i + 1) % len(leaders)],
                                      chunk_bytes)
                     if reduce_phase:
-                        yield lib.sim.timeout(lib._reduce_time(
-                            leaders[i], chunk_elems, 2, itemsize))
+                        yield lib.sim.timeout(reduce_time(
+                            lib.cluster.gpu(leaders[i]), chunk_elems, 2,
+                            itemsize))
                 yield from lib._run_ranks(leader_proc(i)
                                           for i in range(len(leaders)))
 
@@ -250,10 +253,11 @@ class HierarchicalAllReduce(AllReduceAlgorithm):
             return RING.analytic_time(cm, topo, nbytes, n_elems, itemsize)
         fabric_hop = cm.blit_route_time(nbytes, remote_node=False)
         total = (cm.launch() + fabric_hop
-                 + cm.reduce_time(n_elems, topo.gpus_per_node, itemsize))
+                 + reduce_time(cm.device, n_elems, topo.gpus_per_node,
+                               itemsize))
         chunk_bytes, chunk_elems = _chunked(nbytes, n_elems, topo.num_nodes)
         hop = cm.blit_route_time(chunk_bytes, remote_node=True)
-        reduce = cm.reduce_time(chunk_elems, 2, itemsize)
+        reduce = reduce_time(cm.device, chunk_elems, 2, itemsize)
         total += (topo.num_nodes - 1) * (2 * hop + reduce)
         return total + fabric_hop
 

@@ -10,6 +10,7 @@ chunks at once, so a node's off-node chunks pile into the shared NIC.
 
 from __future__ import annotations
 
+from ..hw.gpu import copy_time
 from ..utils.xp import xp_of
 from .base import (
     AllToAllAlgorithm,
@@ -40,7 +41,7 @@ class FlatAllToAll(AllToAllAlgorithm):
             for dst in range(world):
                 if dst == r:
                     evs.append(lib.sim.timeout(
-                        lib._local_copy_time(r, chunk_bytes)))
+                        copy_time(lib.cluster.gpu(r), chunk_bytes)))
                 else:
                     evs.append(lib._route(r, dst, chunk_bytes))
             yield lib.sim.all_of(evs)
@@ -49,9 +50,9 @@ class FlatAllToAll(AllToAllAlgorithm):
 
     def analytic_time(self, cm, topo, chunk_bytes):
         if topo.world == 1:
-            return cm.launch() + cm.local_copy_time(chunk_bytes)
+            return cm.launch() + copy_time(cm.device, chunk_bytes)
         xp = xp_of(chunk_bytes)
-        longest = cm.local_copy_time(chunk_bytes)
+        longest = copy_time(cm.device, chunk_bytes)
         if topo.gpus_per_node > 1:
             longest = xp.maximum(longest,
                                  cm.blit_route_time(chunk_bytes, False))
@@ -94,7 +95,8 @@ class PairwiseAllToAll(AllToAllAlgorithm):
         def local_proc(r):
             if launch:
                 yield lib.sim.timeout(launch)
-            yield lib.sim.timeout(lib._local_copy_time(r, chunk_bytes))
+            yield lib.sim.timeout(copy_time(lib.cluster.gpu(r),
+                                            chunk_bytes))
 
         yield from lib._run_ranks(local_proc(r) for r in range(world))
         for k in range(1, world):
@@ -103,7 +105,7 @@ class PairwiseAllToAll(AllToAllAlgorithm):
             yield from lib._run_ranks(round_proc(r) for r in range(world))
 
     def analytic_time(self, cm, topo, chunk_bytes):
-        total = cm.launch() + cm.local_copy_time(chunk_bytes)
+        total = cm.launch() + copy_time(cm.device, chunk_bytes)
         for k in range(1, topo.world):
             same, off = _pairwise_round_counts(topo, k)
             longest = 0.0
@@ -146,7 +148,8 @@ class HierarchicalAllToAll(AllToAllAlgorithm):
         def stage1_proc(r):
             if launch:
                 yield lib.sim.timeout(launch)
-            evs = [lib.sim.timeout(lib._local_copy_time(r, chunk_bytes))]
+            evs = [lib.sim.timeout(copy_time(lib.cluster.gpu(r),
+                                             chunk_bytes))]
             evs += [lib._route(r, p, staged) for p in topo.local_peers(r)]
             yield lib.sim.all_of(evs)
 
@@ -166,7 +169,7 @@ class HierarchicalAllToAll(AllToAllAlgorithm):
         staged = topo.num_nodes * chunk_bytes
         bundled = topo.gpus_per_node * chunk_bytes
         stage1 = xp_of(chunk_bytes).maximum(
-            cm.local_copy_time(chunk_bytes),
+            copy_time(cm.device, chunk_bytes),
             cm.blit_route_time(staged, False))
         n_msgs = topo.gpus_per_node * (topo.num_nodes - 1)
         return cm.launch() + stage1 + cm.nic_pipeline_time(n_msgs, bundled)

@@ -27,6 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..collectives import CommTopology, resolve_allreduce, resolve_alltoall
+from ..hw.gpu import copy_time, reduce_time
 from ..hw.topology import Cluster
 from ..sim import Simulator
 
@@ -62,23 +63,6 @@ class CollectiveLibrary:
         if not self.launch_overhead:
             return 0.0
         return self.cluster.gpus[0].spec.kernel_launch_overhead
-
-    def _local_copy_time(self, rank: int, nbytes: float) -> float:
-        """Blit-kernel local copy: read + write through HBM at full occupancy."""
-        gpu = self.cluster.gpu(rank)
-        return 2.0 * nbytes / gpu.hbm.achieved_bandwidth(1.0)
-
-    def _reduce_time(self, rank: int, n_elems: int, n_sources: int,
-                     itemsize: int) -> float:
-        """Element-wise reduction of ``n_sources`` buffers on ``rank``."""
-        if n_sources <= 1:
-            return 0.0
-        gpu = self.cluster.gpu(rank)
-        flops = float(n_elems) * (n_sources - 1)
-        read_bytes = float(n_elems) * itemsize * n_sources
-        flop_t = flops / gpu.spec.flop_rate("fp32")
-        mem_t = read_bytes / gpu.hbm.achieved_bandwidth(1.0)
-        return max(flop_t, mem_t)
 
     def _route(self, src_rank: int, dst_rank: int, nbytes: float):
         src = self.cluster.gpu(src_rank)
@@ -164,7 +148,7 @@ class CollectiveLibrary:
             for dst in range(world):
                 if dst == r:
                     evs.append(self.sim.timeout(
-                        self._local_copy_time(r, chunk_bytes)))
+                        copy_time(self.cluster.gpu(r), chunk_bytes)))
                 else:
                     evs.append(self._route(r, dst, chunk_bytes))
             yield self.sim.all_of(evs)
@@ -224,8 +208,8 @@ class CollectiveLibrary:
                 evs = [self._route(r, dst, chunk_bytes)
                        for dst in range(world) if dst != r]
                 yield self.sim.all_of(evs)
-                yield self.sim.timeout(self._reduce_time(
-                    r, chunk_elems, world, itemsize))
+                yield self.sim.timeout(reduce_time(
+                    self.cluster.gpu(r), chunk_elems, world, itemsize))
                 # Phase 2 — all-gather: broadcast my reduced chunk.
                 evs = [self._route(r, dst, chunk_bytes)
                        for dst in range(world) if dst != r]
@@ -242,8 +226,8 @@ class CollectiveLibrary:
             def rank_proc(r):
                 yield self._route(r, (r + 1) % world, chunk_bytes)
                 if reduce_phase:
-                    yield self.sim.timeout(self._reduce_time(
-                        r, chunk_elems, 2, itemsize))
+                    yield self.sim.timeout(reduce_time(
+                        self.cluster.gpu(r), chunk_elems, 2, itemsize))
             yield from self._run_ranks(rank_proc(r) for r in range(world))
 
         if launch:
@@ -281,8 +265,8 @@ class CollectiveLibrary:
             evs = [self._route(r, dst, chunk_bytes)
                    for dst in range(world) if dst != r]
             yield self.sim.all_of(evs)
-            yield self.sim.timeout(self._reduce_time(
-                r, chunk_elems, world, itemsize))
+            yield self.sim.timeout(reduce_time(
+                self.cluster.gpu(r), chunk_elems, world, itemsize))
 
         yield from self._run_ranks(rank_proc(r) for r in range(world))
         return outs

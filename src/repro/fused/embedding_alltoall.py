@@ -38,7 +38,8 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..comm.shmem import FlagArray
-from ..kernels import PersistentKernel, WgTask, bulk_kernel_time, get_scheduler
+from ..hw.gpu import bulk_kernel_time
+from ..kernels import PersistentKernel, WgTask, get_scheduler
 from ..ops.embedding import embedding_pooling, embedding_wg_cost
 from ..utils.xp import xp_of
 from .base import (

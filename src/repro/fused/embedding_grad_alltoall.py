@@ -29,8 +29,8 @@ from typing import Dict, List
 
 import numpy as np
 
-from ..hw.gpu import WgCost
-from ..kernels import PersistentKernel, WgTask, bulk_kernel_time, get_scheduler
+from ..hw.gpu import WgCost, bulk_kernel_time
+from ..kernels import PersistentKernel, WgTask, get_scheduler
 from ..ops.embedding import embedding_wg_cost
 from .base import (
     OpHarness,

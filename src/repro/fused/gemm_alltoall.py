@@ -26,8 +26,8 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..frameworks.triton import build_tasks, jit, tl
-from ..hw.gpu import WgCost
-from ..kernels import PersistentKernel, bulk_kernel_time, get_scheduler
+from ..hw.gpu import WgCost, bulk_kernel_time
+from ..kernels import PersistentKernel, get_scheduler
 from ..ops.gemm import gemm_wg_cost
 from ..utils.xp import xp_of
 from .base import (

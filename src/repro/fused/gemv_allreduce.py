@@ -35,8 +35,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..hw.gpu import WgCost
-from ..kernels import PersistentKernel, WgTask, bulk_kernel_time, get_scheduler
+from ..hw.gpu import WgCost, bulk_kernel_time
+from ..kernels import PersistentKernel, WgTask, get_scheduler
 from ..ops.gemv import gemv, gemv_wg_cost, split_tiles
 from ..utils.xp import xp_of
 from .base import (

@@ -1,5 +1,15 @@
 """GPU device model: occupancy, workgroup timing, and peer stores.
 
+This module is the one device model the DES and the analytic backend
+share.  Its timing closed forms (:func:`wg_time`, :func:`task_time`,
+:func:`bulk_kernel_time`, :func:`persistent_occupancy`,
+:func:`copy_time`, :func:`reduce_time`) are plain functions of a
+*device* — anything with a ``spec``, an ``hbm`` model and an
+``occupancy(res)`` method: a simulated :class:`Gpu`, or
+:class:`repro.analytic.DeviceModel` for a whole platform.  Each is
+written once against :mod:`repro.utils.xp`, so it evaluates one scenario
+on Python scalars or a scenario axis on NumPy columns, bit for bit alike.
+
 The model is deliberately at the granularity the paper operates at — the
 workgroup (WG).  A kernel is a set of logical WGs, each described by a
 :class:`WgCost` (FLOPs + HBM bytes).  A WG's duration follows a roofline:
@@ -22,12 +32,18 @@ from typing import Optional
 import numpy as np
 
 from ..sim import NULL_TRACE, Simulator, TraceRecorder
-from ..utils.xp import NP, xp_of
+from ..utils.xp import NP, PY, xp_of
 from .memory import HbmModel
 from .specs import GpuSpec
 
 __all__ = ["WgCost", "KernelResources", "OccupancyInfo", "Gpu",
-           "occupancy_for"]
+           "occupancy_for", "wg_time", "task_time", "bulk_kernel_time",
+           "persistent_occupancy", "BALANCE_ROUNDS", "copy_time",
+           "reduce_time"]
+
+#: Task loops at most this many rounds long get a balanced grid; longer
+#: loops amortize their tail and launch at full occupancy.
+BALANCE_ROUNDS = 8
 
 
 @dataclass(frozen=True)
@@ -152,6 +168,131 @@ def occupancy_for(spec: GpuSpec, res: KernelResources) -> OccupancyInfo:
     return OccupancyInfo(waves_per_wg, wgs_per_cu, resident, fraction)
 
 
+def wg_time(device, cost: WgCost, occ: OccupancyInfo):
+    """Roofline duration of one WG given the kernel's occupancy (see the
+    module docstring).  Over a column, rows with zero bytes or flops get
+    ``0 / bw == 0.0`` exactly, as the scalar guards give them."""
+    xp = xp_of(cost.bytes, cost.flops, occ.fraction)
+    resident = xp.maximum(occ.resident_wgs, 1)
+    mem_time = 0.0
+    if xp.any(cost.bytes > 0):
+        bw = device.hbm.achieved_bandwidth(occ.fraction,
+                                           access=cost.access) / resident
+        mem_time = cost.bytes / bw
+    flop_time = 0.0
+    if xp.any(cost.flops > 0):
+        # A WG can at most use one CU; beyond num_cus resident WGs they
+        # share ALUs evenly.
+        per_wg = device.spec.flop_rate(cost.dtype) / xp.maximum(
+            resident, device.spec.num_cus)
+        flop_time = cost.flops / per_wg
+    return xp.maximum(mem_time, flop_time) + cost.fixed
+
+
+def task_time(device, cost: WgCost, occ: OccupancyInfo, repeat=1):
+    """One logical-WG task: roofline duration plus dispatch overhead."""
+    return repeat * (wg_time(device, cost, occ)
+                     + device.spec.wg_dispatch_overhead)
+
+
+def bulk_kernel_time(device, n_wgs, cost: WgCost, res: KernelResources):
+    """Closed-form time of a bulk-synchronous kernel of ``n_wgs`` uniform WGs.
+
+    The kernel runs whole rounds of resident WGs at the kernel's occupancy;
+    the remainder (tail) round runs at the *tail's* reduced occupancy —
+    fewer resident WGs means each gets a larger share of a (ramp-limited)
+    smaller aggregate bandwidth.  When the whole grid is smaller than the
+    residency limit, the entire kernel is one such reduced-occupancy round
+    — the effect behind the paper's observation that small batch sizes
+    leave the baseline's per-table embedding kernels underutilized
+    (Fig. 12).
+    """
+    xp = xp_of(n_wgs)
+    if xp.any(n_wgs < 1):
+        raise ValueError("n_wgs must be >= 1")
+    occ = device.occupancy(res)
+    disp = device.spec.wg_dispatch_overhead
+    full_rounds, tail = divmod(n_wgs, occ.resident_wgs)
+    total = device.spec.kernel_launch_overhead
+    if xp.any(full_rounds):
+        total = total + full_rounds * (wg_time(device, cost, occ) + disp)
+    if xp.any(tail):
+        tail_occ = occ.limited_to(xp.where(tail > 0, tail,
+                                           occ.resident_wgs))
+        total = total + xp.where(tail > 0,
+                                 wg_time(device, cost, tail_occ) + disp, 0.0)
+    return total
+
+
+def persistent_occupancy(device, res: KernelResources, n_tasks, n_work=None,
+                         occupancy_limit=None) -> OccupancyInfo:
+    """The grid a persistent kernel of ``n_tasks`` tasks launches with.
+
+    An explicit ``occupancy_limit`` — a fraction in (0, 1] of the kernel's
+    own achievable occupancy, the knob of the paper's Fig. 13 sweep —
+    clamps the grid, and never above the task count.  Without one, the
+    grid is balanced: a persistent kernel knows its task count up front,
+    so when the task loop is short it launches the largest grid (<=
+    residency limit) that divides the ``n_work`` *work-bearing* tasks into
+    whole rounds, avoiding a tail round in which most physical WGs idle.
+    Zero-cost bookkeeping tasks do not drive the grid size (``n_work`` of
+    0 or None counts every task).  Loops longer than
+    :data:`BALANCE_ROUNDS` rounds amortize their tail and launch at full
+    occupancy, as the paper's fused embedding kernel does.
+
+    Over a column of ``n_tasks`` the result holds columns, and
+    ``occupancy_limit`` is a float column where NaN means "no limit".
+    """
+    occ = device.occupancy(res)
+    xp = xp_of(n_tasks, n_work, occupancy_limit)
+    full = occ.resident_wgs
+    limited = None
+    if occupancy_limit is not None:
+        limit = xp.asfloat(occupancy_limit)
+        unset = limit != limit          # NaN: no limit, in a column only
+        bad = (limit <= 0.0) | (limit > 1.0) | (xp is PY and unset)
+        if xp.any(bad):
+            raise ValueError(f"occupancy_limit must be in (0, 1], got "
+                             f"{xp.first(occupancy_limit, bad)}")
+        limited = occ.limited_to(xp.maximum(1, xp.round(
+            full * xp.where(unset, 1.0, limit)))).limited_to(n_tasks)
+        if not xp.any(unset):
+            return limited
+    if n_work is None:
+        n_work = n_tasks
+    else:
+        n_work = xp.where(n_work == 0, n_tasks, n_work)
+    rounds = xp.maximum(1, -(-n_work // full))
+    balanced = occ.limited_to(xp.where(
+        rounds <= BALANCE_ROUNDS, xp.minimum(full, -(-n_work // rounds)),
+        full))
+    if limited is None:
+        return balanced
+    return OccupancyInfo(
+        occ.waves_per_wg,
+        xp.where(unset, balanced.wgs_per_cu, limited.wgs_per_cu),
+        xp.where(unset, balanced.resident_wgs, limited.resident_wgs),
+        xp.where(unset, balanced.fraction, limited.fraction))
+
+
+def copy_time(device, nbytes):
+    """Blit-kernel local copy: read + write through HBM at full occupancy."""
+    return 2.0 * nbytes / device.hbm.achieved_bandwidth(1.0)
+
+
+def reduce_time(device, n_elems, n_sources: int, itemsize):
+    """Element-wise reduction of ``n_sources`` buffers of ``n_elems``
+    elements: the slower of the fp32 adds and the HBM reads."""
+    if n_sources <= 1:
+        return 0.0
+    xp = xp_of(n_elems, itemsize)
+    flops = xp.asfloat(n_elems) * (n_sources - 1)
+    read_bytes = xp.asfloat(n_elems) * itemsize * n_sources
+    flop_t = flops / device.spec.flop_rate("fp32")
+    mem_t = read_bytes / device.hbm.achieved_bandwidth(1.0)
+    return xp.maximum(flop_t, mem_t)
+
+
 class Gpu:
     """One simulated GPU.
 
@@ -209,34 +350,13 @@ class Gpu:
 
     # -- timing ---------------------------------------------------------------
     def wg_duration(self, cost: WgCost, occ: OccupancyInfo) -> float:
-        """Roofline duration of one WG given the kernel's occupancy."""
+        """Memoized :func:`wg_time` on this device."""
         key = (cost, occ)
         cached = self._duration_cache.get(key)
         if cached is not None:
             return cached
-        resident = max(occ.resident_wgs, 1)
-        mem_time = 0.0
-        if cost.bytes > 0:
-            bw = self.hbm.achieved_bandwidth(occ.fraction,
-                                             access=cost.access) / resident
-            mem_time = cost.bytes / bw
-        flop_time = 0.0
-        if cost.flops > 0:
-            # A WG can at most use one CU; beyond num_cus resident WGs they
-            # share ALUs evenly.
-            per_wg = self.spec.flop_rate(cost.dtype) / max(resident,
-                                                           self.spec.num_cus)
-            flop_time = cost.flops / per_wg
-        out = max(mem_time, flop_time) + cost.fixed
-        self._duration_cache[key] = out
+        out = self._duration_cache[key] = wg_time(self, cost, occ)
         return out
-
-    def kernel_span_estimate(self, n_wgs: int, cost: WgCost,
-                             occ: OccupancyInfo) -> float:
-        """Closed-form kernel time estimate (rounds of resident WGs)."""
-        rounds = math.ceil(n_wgs / max(occ.resident_wgs, 1))
-        return (self.spec.kernel_launch_overhead
-                + rounds * self.wg_duration(cost, occ))
 
     # -- data movement -----------------------------------------------------------
     def store_remote(self, peer: "Gpu", nbytes: float, value=None):

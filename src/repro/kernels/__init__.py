@@ -2,7 +2,7 @@
 
 from .flags import WgDoneBitmask
 from .grid import SlotContext, WgTask
-from .kernel import PersistentKernel, bulk_kernel_time, make_uniform_tasks, run_kernel
+from .kernel import PersistentKernel, make_uniform_tasks, run_kernel
 from .occupancy import max_active_wgs, occupancy_sweep_points, suggest_grid
 from .scheduler import SCHEDULERS, comm_aware_order, get_scheduler, oblivious_order
 
@@ -12,7 +12,6 @@ __all__ = [
     "SlotContext",
     "WgDoneBitmask",
     "WgTask",
-    "bulk_kernel_time",
     "comm_aware_order",
     "get_scheduler",
     "make_uniform_tasks",

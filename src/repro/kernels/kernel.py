@@ -55,7 +55,14 @@ from collections import deque
 from heapq import heappop, heappush
 from typing import Callable, Generator, List, Optional, Sequence
 
-from ..hw.gpu import Gpu, KernelResources, OccupancyInfo, WgCost
+from ..hw.gpu import (
+    Gpu,
+    KernelResources,
+    OccupancyInfo,
+    WgCost,
+    persistent_occupancy,
+    task_time,
+)
 from ..obs.metrics import get_metrics
 from ..sim import Event, Process, SimulationError, Simulator, TraceRecorder
 from ..sim.engine import PRIORITY_NORMAL
@@ -63,11 +70,6 @@ from .grid import SlotContext, WgTask
 
 __all__ = ["PersistentKernel", "run_kernel", "make_uniform_tasks",
            "fastpath_enabled"]
-
-#: Task loops at most this many rounds long get a balanced grid; longer
-#: loops amortize their tail and launch at full occupancy.
-_BALANCE_ROUNDS = 8
-
 
 def fastpath_enabled() -> bool:
     """Whether the fast path is active (``REPRO_SIM_FASTPATH``; see above).
@@ -104,34 +106,13 @@ class PersistentKernel:
         self.name = name
         self.epilogue = epilogue
         self.trace = trace if trace is not None else gpu.trace
-        occ = gpu.occupancy(resources)
-        if occupancy_limit is not None:
-            if not (0.0 < occupancy_limit <= 1.0):
-                raise ValueError(
-                    f"occupancy_limit must be in (0, 1], got {occupancy_limit}")
-            occ = occ.limited_to(
-                max(1, int(round(occ.resident_wgs * occupancy_limit))))
-            if len(self.tasks) < occ.resident_wgs:
-                occ = occ.limited_to(len(self.tasks))
-        else:
-            # Grid-size balancing: a persistent kernel knows its task count
-            # up front, so when the task loop is short it launches the
-            # largest grid (<= residency limit) that divides the
-            # *work-bearing* tasks into whole rounds — avoiding a tail
-            # round in which most physical WGs idle.  For long task loops
-            # (> _BALANCE_ROUNDS rounds) the tail is amortized and the
-            # kernel launches at full occupancy, as the paper's fused
-            # embedding kernel does.  Zero-cost bookkeeping tasks do not
-            # drive the grid size.
-            n_work = sum(1 for t in self.tasks
-                         if t.cost.flops > 0 or t.cost.bytes > 0)
-            n_work = n_work or len(self.tasks)
-            rounds = max(1, -(-n_work // occ.resident_wgs))
-            if rounds <= _BALANCE_ROUNDS:
-                balanced = min(occ.resident_wgs, -(-n_work // rounds))
-                occ = occ.limited_to(balanced)
-        self.occupancy: OccupancyInfo = occ
-        self.n_slots = min(occ.resident_wgs, len(self.tasks))
+        # Zero-cost bookkeeping tasks do not drive the grid size.
+        n_work = sum(1 for t in self.tasks
+                     if t.cost.flops > 0 or t.cost.bytes > 0)
+        self.occupancy: OccupancyInfo = persistent_occupancy(
+            gpu, resources, len(self.tasks), n_work=n_work,
+            occupancy_limit=occupancy_limit)
+        self.n_slots = min(self.occupancy.resident_wgs, len(self.tasks))
 
     # -- execution ------------------------------------------------------------
     def launch(self) -> Process:
@@ -178,10 +159,6 @@ class PersistentKernel:
                 return False
         return True
 
-    def _task_duration(self, task: WgTask) -> float:
-        return task.repeat * (self.gpu.wg_duration(task.cost, self.occupancy)
-                              + self.gpu.spec.wg_dispatch_overhead)
-
     def _run_uniform_fast(self) -> Generator:
         """Fast-forward a fully uniform kernel without per-task events.
 
@@ -191,7 +168,8 @@ class PersistentKernel:
         per-task ``now + dur`` float accumulation exactly.
         """
         sim = self.sim
-        dur = self._task_duration(self.tasks[0])
+        first = self.tasks[0]
+        dur = task_time(self.gpu, first.cost, self.occupancy, first.repeat)
         q, r = divmod(len(self.tasks), self.n_slots)
         if self.epilogue is None:
             # Only the joint finish is observable: the slot(s) with the
@@ -264,16 +242,6 @@ class PersistentKernel:
                 ctx.record("wait_start")
                 yield from epi
                 ctx.record("wait_end")
-
-    # -- estimates ------------------------------------------------------------
-    def compute_time_estimate(self) -> float:
-        """Closed-form compute-only estimate (ignores hooks/epilogues)."""
-        total = sum(
-            t.repeat * (self.gpu.wg_duration(t.cost, self.occupancy)
-                        + self.gpu.spec.wg_dispatch_overhead)
-            for t in self.tasks)
-        return (self.gpu.spec.kernel_launch_overhead
-                + total / max(self.n_slots, 1))
 
 
 class _Slot:
@@ -481,34 +449,6 @@ def make_uniform_tasks(n: int, cost: WgCost, repeat: int = 1,
         raise ValueError("need at least one task")
     return [WgTask(task_id=i, cost=cost, repeat=repeat, meta=dict(meta))
             for i in range(n)]
-
-
-def bulk_kernel_time(gpu: Gpu, n_wgs: int, cost: WgCost,
-                     resources: KernelResources) -> float:
-    """Closed-form time of a bulk-synchronous kernel of ``n_wgs`` uniform WGs.
-
-    The kernel runs whole rounds of resident WGs at the kernel's occupancy;
-    the remainder (tail) round runs at the *tail's* reduced occupancy —
-    fewer resident WGs means each gets a larger share of a (ramp-limited)
-    smaller aggregate bandwidth.  When the whole grid is smaller than the
-    residency limit, the entire kernel is one such reduced-occupancy round
-    — the effect behind the paper's observation that small batch sizes
-    leave the baseline's per-table embedding kernels underutilized
-    (Fig. 12).
-    """
-    if n_wgs < 1:
-        raise ValueError("n_wgs must be >= 1")
-    occ = gpu.occupancy(resources)
-    total = gpu.spec.kernel_launch_overhead
-    full_rounds, tail = divmod(n_wgs, occ.resident_wgs)
-    if full_rounds:
-        total += full_rounds * (gpu.wg_duration(cost, occ)
-                                + gpu.spec.wg_dispatch_overhead)
-    if tail:
-        tail_occ = occ.limited_to(tail)
-        total += (gpu.wg_duration(cost, tail_occ)
-                  + gpu.spec.wg_dispatch_overhead)
-    return total
 
 
 def run_kernel(gpu: Gpu, resources: KernelResources, tasks: Sequence[WgTask],

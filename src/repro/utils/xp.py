@@ -8,7 +8,8 @@ as any of them is an ``ndarray``, else builtins and :mod:`math`, so a
 scalar evaluation returns builtins and never pays for NumPy.
 
 The two namespaces agree bit for bit on float64: ``+ - * /``, max/min,
-integer floor division, ceil and float conversion are exact in both.
+integer floor division, ceil, round-half-to-even and float conversion are
+exact in both.
 A data-dependent branch is written ``if xp.any(cond):`` around an
 ``xp.where(cond, ...)``, so a scalar evaluation computes only the arm it
 takes while a column evaluates the arm for the rows that need it.
@@ -39,6 +40,7 @@ PY = SimpleNamespace(
     maximum=max,
     minimum=min,
     ceil=math.ceil,
+    round=round,
     any=bool,
     asfloat=float,
     where=lambda cond, a, b: a if cond else b,
@@ -51,6 +53,7 @@ NP = SimpleNamespace(
     maximum=np.maximum,
     minimum=np.minimum,
     ceil=np.ceil,
+    round=np.round,
     any=np.any,
     asfloat=lambda x: np.asarray(x, np.float64),
     where=np.where,

@@ -29,6 +29,7 @@ from repro.analytic.ops import (
     predict_gemv_allreduce,
     predict_wg_timeline,
 )
+from repro.hw.gpu import WgCost, bulk_kernel_time, persistent_occupancy
 from repro.hw.platform import generic
 from repro.utils.units import GB_PER_S
 
@@ -410,16 +411,19 @@ def test_persistent_occupancy_batch_equals_scalar(plat, n_tasks, n_work,
     d = device_model(plat)
     tasks = np.array([1, 2, n_tasks, n_tasks + 1, 10 * n_tasks])
     work = None if n_work is None else np.full(len(tasks), n_work)
-    lim = None if limit is None else np.full(len(tasks), float(limit))
-    occ_b = d.persistent_occupancy(d.fused_res, tasks, n_work=work,
-                                   occupancy_limit=lim)
-    for i, nt in enumerate(tasks):
-        occ_s = d.persistent_occupancy(d.fused_res, int(nt),
-                                       n_work=n_work,
-                                       occupancy_limit=limit)
-        assert occ_b.wgs_per_cu[i] == occ_s.wgs_per_cu
-        assert occ_b.resident_wgs[i] == occ_s.resident_wgs
-        assert occ_b.fraction[i] == occ_s.fraction
+    # Every row at ``limit``, then limited rows mixed with unlimited ones
+    # (NaN in the column, None for a scalar).
+    for limits in ([limit] * 5, [limit, None, limit, None, 0.5]):
+        lim = None if limits == [None] * 5 else np.array(
+            [np.nan if x is None else x for x in limits])
+        occ_b = persistent_occupancy(d, d.fused_res, tasks, n_work=work,
+                                     occupancy_limit=lim)
+        for i, (nt, x) in enumerate(zip(tasks, limits)):
+            occ_s = persistent_occupancy(d, d.fused_res, int(nt),
+                                         n_work=n_work, occupancy_limit=x)
+            assert occ_b.wgs_per_cu[i] == occ_s.wgs_per_cu
+            assert occ_b.resident_wgs[i] == occ_s.resident_wgs
+            assert occ_b.fraction[i] == occ_s.fraction
 
 
 @given(plat=platforms,
@@ -430,10 +434,9 @@ def test_persistent_occupancy_batch_equals_scalar(plat, n_tasks, n_work,
 @settings(max_examples=60, deadline=None)
 def test_bulk_kernel_time_batch_equals_scalar(plat, n_wgs, flops, nbytes,
                                               access):
-    from repro.hw.gpu import WgCost
     d = device_model(plat)
     wgs = np.array([1, n_wgs, max(1, n_wgs // 3)])
     cost = WgCost(flops=flops, bytes=nbytes, dtype="fp32", access=access)
-    got = d.bulk_kernel_time(wgs, cost, d.base_res)
+    got = bulk_kernel_time(d, wgs, cost, d.base_res)
     for i, n in enumerate(wgs):
-        assert got[i] == d.bulk_kernel_time(int(n), cost, d.base_res)
+        assert got[i] == bulk_kernel_time(d, int(n), cost, d.base_res)

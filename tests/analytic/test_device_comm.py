@@ -1,20 +1,28 @@
-"""Exact-mirror tests: the analytic device/comm models vs the DES.
+"""Exact-equality tests: the analytic backend against the DES.
 
-The closed forms the analytic backend shares with the simulator must not
-merely be *close* — they are the same math, so the tests here demand
-exact equality: bulk-kernel spans, occupancy (including the persistent
-kernel's grid balancing), and the RCCL-like collectives whose per-rank
-timing the DES already evaluates in closed form.
+The device-timing closed forms live once, in :mod:`repro.hw.gpu`; the DES
+evaluates them on a simulated :class:`~repro.hw.gpu.Gpu` and the analytic
+backend on a :class:`~repro.analytic.DeviceModel`.  The tests here demand
+exact equality, so they pin that both devices hand the shared code
+identical inputs (occupancy, spec, HBM model), that the persistent kernel
+passes the right task counts to the shared grid selection, and that the
+RCCL-like collectives, whose per-rank timing the DES evaluates in closed
+form, agree between the engines.
 """
 
 import pytest
 
 from repro.analytic import CommModel, device_model
 from repro.fused.base import OpHarness
-from repro.hw.gpu import Gpu, WgCost
+from repro.hw.gpu import (
+    Gpu,
+    WgCost,
+    bulk_kernel_time,
+    persistent_occupancy,
+    wg_time,
+)
 from repro.hw.platform import get_platform, list_platforms
-from repro.kernels import PersistentKernel, WgTask, bulk_kernel_time, \
-    make_uniform_tasks
+from repro.kernels import PersistentKernel, WgTask, make_uniform_tasks
 from repro.sim import Simulator
 
 COSTS = [
@@ -32,7 +40,7 @@ def test_bulk_kernel_time_matches_simulator_helper(name):
     gpu = Gpu(Simulator(), plat.gpu, gpu_id=0)
     for cost in COSTS:
         for n_wgs in (1, 7, d.occupancy(d.base_res).resident_wgs, 5000):
-            assert d.bulk_kernel_time(n_wgs, cost, d.base_res) == \
+            assert bulk_kernel_time(d, n_wgs, cost, d.base_res) == \
                 bulk_kernel_time(gpu, n_wgs, cost, d.base_res)
 
 
@@ -45,7 +53,7 @@ def test_wg_time_matches_gpu_duration(name):
         occ = d.occupancy(res)
         assert occ == gpu.occupancy(res)
         for cost in COSTS:
-            assert d.wg_time(cost, occ) == gpu.wg_duration(cost, occ)
+            assert wg_time(d, cost, occ) == gpu.wg_duration(cost, occ)
 
 
 #: Grid-selection cases named relative to the kernel's resident WGs R:
@@ -79,8 +87,8 @@ def test_persistent_occupancy_mirrors_kernel_grid(n_tasks, limit):
             tasks += make_uniform_tasks(n_work, COSTS[0])
         kern = PersistentKernel(gpu, d.fused_res, tasks,
                                 occupancy_limit=limit)
-        occ = d.persistent_occupancy(d.fused_res, len(tasks),
-                                     n_work=n_work, occupancy_limit=limit)
+        occ = persistent_occupancy(d, d.fused_res, len(tasks),
+                                   n_work=n_work, occupancy_limit=limit)
         assert occ == kern.occupancy, plat.name
         assert d.n_slots(occ, len(tasks)) == kern.n_slots, plat.name
         if grid is not None:

@@ -125,15 +125,6 @@ def test_aggregate_memory_throughput_independent_of_resident_count(gpu):
     assert t_half < t_full
 
 
-def test_kernel_span_estimate_rounds(gpu):
-    occ = gpu.occupancy(KernelResources(256, 64))
-    one_round = gpu.kernel_span_estimate(occ.resident_wgs, WgCost(bytes=1e5), occ)
-    two_rounds = gpu.kernel_span_estimate(occ.resident_wgs + 1, WgCost(bytes=1e5), occ)
-    wg_t = gpu.wg_duration(WgCost(bytes=1e5), occ)
-    assert two_rounds == pytest.approx(one_round + wg_t)
-    assert one_round > MI210.kernel_launch_overhead
-
-
 def test_store_remote_requires_fabric(gpu):
     with pytest.raises(RuntimeError, match="fabric"):
         gpu.store_remote(gpu, 100)

@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hw import MI210, Gpu, KernelResources, WgCost
+from repro.hw.gpu import bulk_kernel_time
 from repro.kernels import (
     PersistentKernel,
     WgTask,
-    bulk_kernel_time,
     comm_aware_order,
     make_uniform_tasks,
 )

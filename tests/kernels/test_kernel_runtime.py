@@ -190,18 +190,14 @@ def test_run_kernel_convenience(gpu):
     assert end > MI210.kernel_launch_overhead
 
 
-def test_compute_time_estimate_matches_uniform_run(gpu):
+def test_uniform_run_takes_whole_rounds(gpu):
     import math
 
     n, cost = 1000, WgCost(bytes=2e4)
     tasks = make_uniform_tasks(n, cost)
     kern = PersistentKernel(gpu, RES, tasks)
-    est = kern.compute_time_estimate()
     end = launch_and_time(gpu, kern)
     wg_t = gpu.wg_duration(cost, kern.occupancy) + MI210.wg_dispatch_overhead
     rounds = math.ceil(n / kern.n_slots)
     # Actual run quantizes to whole rounds of resident WGs.
     assert end == pytest.approx(MI210.kernel_launch_overhead + rounds * wg_t)
-    # The smooth estimate is a lower bound within one round of the actual.
-    assert est <= end + 1e-12
-    assert end - est <= wg_t + 1e-12
