@@ -9,12 +9,15 @@ structural model:
 * ``des_run(lib, topo, ...)`` — a discrete-event schedule driven through
   the :class:`~repro.comm.collectives.CollectiveLibrary` helpers (blit
   staging over :class:`~repro.hw.fabric.Fabric` links, GPU-direct RDMA
-  through the shared :class:`~repro.hw.nic.Nic`, roofline reduce kernels).
+  through the shared :class:`~repro.hw.nic.Nic`).
 * ``analytic_time(cm, topo, ...)`` — the closed form the analytic
   backend's :class:`~repro.analytic.comm.CommModel` evaluates, mirroring
   the DES schedule round for round (lock-stepped schedules agree exactly;
   the per-algorithm equivalence tests pin this).  Sizes may be scalars
   or NumPy columns over a scenario axis (:mod:`repro.utils.xp`).
+
+Both take local copy and reduce kernel times from the shared
+:func:`repro.hw.gpu.copy_time` and :func:`repro.hw.gpu.reduce_time`.
 
 Algorithms register by name at import time; ``"auto"`` resolves through
 the size/topology selector below, and ``None`` resolves to the legacy
