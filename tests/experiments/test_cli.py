@@ -1,11 +1,17 @@
 """CLI surface tests: list/run/report/diff through ``cli.main``."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.experiments.cli import main
 from repro.experiments.report import REPORT_SCHEMA
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def test_list_names_registered_sweeps(capsys):
@@ -101,3 +107,19 @@ def test_run_xhw_smoke_caches_and_reports_speedups(tmp_path, capsys):
     assert "h100" in out
     assert main(["run", "xhw-smoke", "--cache", str(cache), "--quiet",
                  "--expect-cached"]) == 0
+
+
+def test_list_json_matches_key_golden():
+    """``repro list --json`` in a fresh process is byte-identical to the
+    committed key golden: every registered sweep's and mega sweep's name,
+    title, size, backends and content key (each sweep key hashes all of
+    its scenario keys), so any drift in spec canonicalization or hashing
+    shows up here."""
+    root = Path(__file__).resolve().parents[2]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(root / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "list", "--json"],
+        capture_output=True, env=env, cwd=str(root))
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (DATA / "golden_list.json").read_bytes()
