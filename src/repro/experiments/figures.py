@@ -19,7 +19,9 @@ so tests and users can build reduced or enlarged variants:
 ``run_sweep(fig9_sweep(grid=...)).figure()``.  Module import registers
 the paper-default instance of each under its canonical name (``fig8`` …
 ``fig15``, ``table1/2``, ``ablation-*``, ``ext-embedding-backward``, and
-a tiny ``smoke`` sweep for CI), which ``regenerate(name)`` runs.
+a tiny ``smoke`` sweep for CI), which ``regenerate(name)`` runs.  The
+registration holds the factory, not the sweep: each default instance is
+built on its first lookup.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from ..hw.platform import PlatformLike, get_platform, \
     max_occupancy_of_baseline
 from ..models.configs import TABLE2_DLRM, TABLE2_TORUS
 from ..sim import TraceRecorder
-from .registry import assembler, register_sweep, runner
+from .registry import assembler, register_sweep_factory, runner
 from .specs import (
     BACKENDS,
     DEFAULT_BACKEND,
@@ -90,6 +92,21 @@ def _scenario_backend(p: Dict[str, Any]) -> str:
         raise ValueError(
             f"unknown backend {backend!r}; choose from {BACKENDS}")
     return backend
+
+
+def _engine_params(algo: Optional[str] = None,
+                   backend: str = DEFAULT_BACKEND) -> Dict[str, str]:
+    """The ``algo``/``backend`` scenario parameters with each default left
+    out, exactly as :meth:`ScenarioSpec.with_algo`/``with_backend`` would
+    leave them, so a single ``scenario(...)`` call encodes the final spec.
+    """
+    if backend not in BACKENDS:
+        raise ValueError(
+            f"unknown backend {backend!r}; choose from {BACKENDS}")
+    params = {} if backend == DEFAULT_BACKEND else {"backend": backend}
+    if algo is not None:
+        params["algo"] = algo
+    return params
 
 
 def _platform_param(platform: PlatformLike):
@@ -1043,7 +1060,7 @@ def xalgo_allreduce_sweep(grid=XALGO_GEMV_GRID, world: int = 4,
                  label=f"{algo} "
                        f"{GemvAllReduceConfig(m=m, n_per_gpu=n // world, functional=False).label}",
                  m=m, n_per_gpu=n // world, world=world,
-                 platform=_platform_param(platform)).with_algo(algo)
+                 platform=_platform_param(platform), **_engine_params(algo))
         for algo in algos
         for m, n in grid
     ]
@@ -1065,7 +1082,7 @@ def xalgo_alltoall_sweep(grid=XALGO_EMB_GRID, num_nodes: int = 2,
         scenario("embedding_a2a_pair", label=f"{algo} {batch}|{tables}",
                  global_batch=batch, tables_per_gpu=tables,
                  num_nodes=num_nodes, gpus_per_node=gpus_per_node,
-                 platform=_platform_param(platform)).with_algo(algo)
+                 platform=_platform_param(platform), **_engine_params(algo))
         for algo in algos
         for batch, tables in grid
     ]
@@ -1129,7 +1146,7 @@ def dse_fused_frontier_sweep(name: str = "dse_fused_frontier",
                         for occ in occupancies:
                             for algo in algos:
                                 suffix = f" {algo}" if algo else ""
-                                s = scenario(
+                                scenarios.append(scenario(
                                     "embedding_a2a_pair",
                                     label=(f"{pname} "
                                            f"{num_nodes}x{gpus_per_node}"
@@ -1139,9 +1156,8 @@ def dse_fused_frontier_sweep(name: str = "dse_fused_frontier",
                                     slice_vectors=sv,
                                     occupancy_of_baseline=occ,
                                     num_nodes=num_nodes,
-                                    gpus_per_node=gpus_per_node, platform=pp)
-                                scenarios.append(
-                                    s.with_backend(backend).with_algo(algo))
+                                    gpus_per_node=gpus_per_node, platform=pp,
+                                    **_engine_params(algo, backend)))
     return SweepSpec.make(
         name, "DSE", scenarios, assembler="dse_frontier", figure="DSE",
         description="fused embedding+A2A design-space frontier "
@@ -1191,33 +1207,35 @@ def smoke_sweep(name: str = "smoke") -> SweepSpec:
         description="CI smoke sweep (mixed runners, small configs)")
 
 
-#: The paper-default registrations, in ``python -m repro list`` order.
-ALL_SWEEPS: Tuple[SweepSpec, ...] = tuple(register_sweep(s) for s in (
-    table1_sweep(),
-    table2_sweep(),
-    fig8_sweep(),
-    fig9_sweep(),
-    fig10_sweep(),
-    fig11_sweep(),
-    fig12_sweep(),
-    fig13_sweep(),
-    fig14_sweep(),
-    fig15_sweep(),
-    ablation_slice_size_sweep(),
-    ablation_scheduling_sweep(),
-    ablation_zero_copy_sweep(),
-    ablation_cpu_proxy_sweep(),
-    ext_embedding_backward_sweep(),
-    xhw_embedding_a2a_sweep(),
-    xhw_gemv_allreduce_sweep(),
-    xhw_gemm_a2a_sweep(),
-    xhw_scaleout_sweep(),
-    xhw_smoke_sweep(),
-    xalgo_allreduce_sweep(),
-    xalgo_alltoall_sweep(),
-    xalgo_smoke_sweep(),
-    dse_fused_frontier_sweep(),
-    dse_smoke_sweep(),
-    smoke_sweep(),
-    trace_smoke_sweep(),
-))
+#: The paper-default registrations, in ``python -m repro list`` order:
+#: name, title and factory.  Each sweep is built on its first lookup.
+for _name, _title, _factory in (
+    ("table1", "Table I", table1_sweep),
+    ("table2", "Table II", table2_sweep),
+    ("fig8", "Fig. 8", fig8_sweep),
+    ("fig9", "Fig. 9", fig9_sweep),
+    ("fig10", "Fig. 10", fig10_sweep),
+    ("fig11", "Fig. 11", fig11_sweep),
+    ("fig12", "Fig. 12", fig12_sweep),
+    ("fig13", "Fig. 13", fig13_sweep),
+    ("fig14", "Fig. 14", fig14_sweep),
+    ("fig15", "Fig. 15", fig15_sweep),
+    ("ablation-slice-size", "Ablation", ablation_slice_size_sweep),
+    ("ablation-scheduling", "Ablation", ablation_scheduling_sweep),
+    ("ablation-zero-copy", "Ablation", ablation_zero_copy_sweep),
+    ("ablation-cpu-proxy", "Ablation", ablation_cpu_proxy_sweep),
+    ("ext-embedding-backward", "Extension", ext_embedding_backward_sweep),
+    ("xhw_embedding_a2a", "Cross-HW", xhw_embedding_a2a_sweep),
+    ("xhw_gemv_allreduce", "Cross-HW", xhw_gemv_allreduce_sweep),
+    ("xhw_gemm_a2a", "Cross-HW", xhw_gemm_a2a_sweep),
+    ("xhw_scaleout", "Cross-HW", xhw_scaleout_sweep),
+    ("xhw-smoke", "Cross-HW", xhw_smoke_sweep),
+    ("xalgo_allreduce", "Algorithms", xalgo_allreduce_sweep),
+    ("xalgo_alltoall", "Algorithms", xalgo_alltoall_sweep),
+    ("xalgo-smoke", "Algorithms", xalgo_smoke_sweep),
+    ("dse_fused_frontier", "DSE", dse_fused_frontier_sweep),
+    ("dse-smoke", "DSE", dse_smoke_sweep),
+    ("smoke", "Smoke", smoke_sweep),
+    ("trace-smoke", "Trace smoke", trace_smoke_sweep),
+):
+    register_sweep_factory(_name, _title, _factory)

@@ -10,7 +10,11 @@ Three registries back the orchestration subsystem:
   a :class:`~repro.bench.harness.FigureResult`:
   ``fn(sweep, specs, results, **assembler_params)``.
 * **sweeps** — named :class:`~repro.experiments.specs.SweepSpec` instances
-  (the ported paper figures/ablations plus any user registrations).
+  (the ported paper figures/ablations plus any user registrations).  The
+  built-in sweeps are registered as name, title and factory and built on
+  their first lookup (:func:`get_sweep`, :func:`list_sweeps`), so
+  :func:`ensure_registered` builds nothing: a spawn worker resolves
+  runners, never sweeps, and ``repro run fig9`` builds fig9 alone.
 
 Lookup is by plain string so specs stay declarative and picklable: worker
 processes re-resolve names against their own imported registry.
@@ -19,7 +23,7 @@ processes re-resolve names against their own imported registry.
 from __future__ import annotations
 
 import inspect
-from typing import Any, Callable, Dict, List, Mapping
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Union
 
 from .specs import ScenarioSpec, SweepSpec
 
@@ -27,6 +31,7 @@ __all__ = [
     "runner",
     "assembler",
     "register_sweep",
+    "register_sweep_factory",
     "get_runner",
     "get_assembler",
     "get_sweep",
@@ -37,7 +42,18 @@ __all__ = [
 
 RUNNERS: Dict[str, Callable[..., Mapping[str, Any]]] = {}
 ASSEMBLERS: Dict[str, Callable[..., Any]] = {}
-SWEEPS: Dict[str, SweepSpec] = {}
+
+
+class _Unbuilt(NamedTuple):
+    """A registered sweep not yet looked up: its factory builds it."""
+
+    title: str
+    factory: Callable[[], SweepSpec]
+
+
+#: Registered sweeps by name; unbuilt entries are replaced by their
+#: :class:`SweepSpec` on first lookup.
+SWEEPS: Dict[str, Union[SweepSpec, _Unbuilt]] = {}
 
 #: Runners whose declared signature accepts the scenario seed.
 _SEEDED: Dict[str, bool] = {}
@@ -72,17 +88,49 @@ def assembler(name: str) -> Callable[[Callable], Callable]:
     return deco
 
 
-def register_sweep(spec: SweepSpec, overwrite: bool = False) -> SweepSpec:
-    """Register a sweep for lookup by name (CLI, tests, cache tooling)."""
-    if spec.name in SWEEPS and not overwrite:
-        raise ValueError(f"sweep {spec.name!r} already registered")
+def _claim(name: str, overwrite: bool) -> None:
+    if name in SWEEPS and not overwrite:
+        raise ValueError(f"sweep {name!r} already registered")
+
+
+def _checked(spec: SweepSpec) -> SweepSpec:
     labels = [s.label for s in spec.scenarios]
     if len(set(labels)) != len(labels):
         dupes = sorted({x for x in labels if labels.count(x) > 1})
         raise ValueError(
             f"sweep {spec.name!r} has duplicate scenario labels: {dupes}")
-    SWEEPS[spec.name] = spec
     return spec
+
+
+def register_sweep(spec: SweepSpec, overwrite: bool = False) -> SweepSpec:
+    """Register a sweep for lookup by name (CLI, tests, cache tooling)."""
+    _claim(spec.name, overwrite)
+    SWEEPS[spec.name] = _checked(spec)
+    return spec
+
+
+def register_sweep_factory(name: str, title: str,
+                           factory: Callable[[], SweepSpec],
+                           overwrite: bool = False) -> None:
+    """Register a sweep that ``factory()`` builds on its first lookup.
+
+    The label check of :func:`register_sweep` runs at that build, as does
+    a check that the built sweep carries the registered name and title.
+    """
+    _claim(name, overwrite)
+    SWEEPS[name] = _Unbuilt(title, factory)
+
+
+def _built(name: str) -> SweepSpec:
+    entry = SWEEPS[name]
+    if isinstance(entry, _Unbuilt):
+        spec = entry.factory()
+        if (spec.name, spec.title) != (name, entry.title):
+            raise ValueError(
+                f"sweep factory registered as {name!r} ({entry.title!r}) "
+                f"built {spec.name!r} ({spec.title!r})")
+        entry = SWEEPS[name] = _checked(spec)
+    return entry
 
 
 def get_runner(name: str) -> Callable[..., Mapping[str, Any]]:
@@ -107,17 +155,15 @@ def get_assembler(name: str) -> Callable[..., Any]:
 
 def get_sweep(name: str) -> SweepSpec:
     ensure_registered()
-    try:
-        return SWEEPS[name]
-    except KeyError:
+    if name not in SWEEPS:
         raise KeyError(
-            f"unknown sweep {name!r}; registered: {sorted(SWEEPS)}"
-        ) from None
+            f"unknown sweep {name!r}; registered: {sorted(SWEEPS)}")
+    return _built(name)
 
 
 def list_sweeps() -> List[SweepSpec]:
     ensure_registered()
-    return [SWEEPS[name] for name in sorted(SWEEPS)]
+    return [_built(name) for name in sorted(SWEEPS)]
 
 
 def call_runner(spec: ScenarioSpec) -> Mapping[str, Any]:

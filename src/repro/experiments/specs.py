@@ -6,7 +6,9 @@ scenarios plus the name of an assembler that turns their results into a
 :class:`~repro.bench.harness.FigureResult`.  Both are frozen, hashable,
 and serialize canonically, so a scenario's content hash (:meth:`key`) is
 stable across processes and machines — the foundation of the
-content-addressed result store.
+content-addressed result store.  A spec computes its key once and keeps
+it on the instance, so the store lookup, the outcome, the sweep key and
+the report of a warm re-run all share one hash.
 
 Parameters are stored internally as a canonical JSON string (sorted keys,
 no whitespace): that keeps the dataclass hashable, forces every parameter
@@ -59,12 +61,18 @@ def canonical_json(value: Any) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
-def _check_jsonable(params: Mapping[str, Any], where: str) -> None:
+def _encode(params: Mapping[str, Any], where: str) -> str:
+    """:func:`canonical_json` of a parameter mapping, with a clear error
+    for values JSON cannot represent (the one encode a new spec pays)."""
     try:
-        canonical_json(dict(params))
+        return canonical_json(dict(params))
     except (TypeError, ValueError) as exc:
         raise TypeError(
             f"{where} parameters must be JSON-representable: {exc}") from exc
+
+
+def _sha256(record: str) -> str:
+    return hashlib.sha256(record.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True, order=True)
@@ -82,8 +90,8 @@ class ScenarioSpec:
 
     @classmethod
     def make(cls, runner: str, label: str = "", **params: Any) -> "ScenarioSpec":
-        _check_jsonable(params, f"scenario {runner!r}")
-        return cls(runner=runner, params_json=canonical_json(params),
+        return cls(runner=runner,
+                   params_json=_encode(params, f"scenario {runner!r}"),
                    label=label)
 
     @property
@@ -93,8 +101,8 @@ class ScenarioSpec:
     def with_params(self, **overrides: Any) -> "ScenarioSpec":
         merged = self.params
         merged.update(overrides)
-        _check_jsonable(merged, f"scenario {self.runner!r}")
-        return replace(self, params_json=canonical_json(merged))
+        return replace(self, params_json=_encode(
+            merged, f"scenario {self.runner!r}"))
 
     def with_backend(self, backend: str) -> "ScenarioSpec":
         """Copy pinned to an evaluation engine (see :data:`BACKENDS`).
@@ -142,14 +150,22 @@ class ScenarioSpec:
         """Stable content hash of (schema version, runner, params).
 
         The label is display-only and deliberately excluded: renaming a
-        scenario must not invalidate its cached result.
+        scenario must not invalidate its cached result.  The hashed record
+        is ``canonical_json({"schema", "runner", "params"})``, built by
+        splicing ``params_json`` — canonical, as :meth:`make` writes it —
+        into the envelope (sorted keys put ``params`` first) instead of
+        re-parsing it.  The key is computed once per instance and memoized
+        alongside the schema version it was computed under; copies made
+        with :func:`dataclasses.replace` start without one.
         """
-        record = canonical_json({
-            "schema": SCHEMA_VERSION,
-            "runner": self.runner,
-            "params": self.params,
-        })
-        return hashlib.sha256(record.encode("utf-8")).hexdigest()
+        memo = self.__dict__.get("_key")
+        if memo is None or memo[0] != SCHEMA_VERSION:
+            record = (f'{{"params":{self.params_json},'
+                      f'"runner":{canonical_json(self.runner)},'
+                      f'"schema":{canonical_json(SCHEMA_VERSION)}}}')
+            memo = (SCHEMA_VERSION, _sha256(record))
+            self.__dict__["_key"] = memo    # frozen: bypass __setattr__
+        return memo[1]
 
     def stable_seed(self) -> int:
         """Deterministic per-scenario seed derived from the content hash.
@@ -183,25 +199,30 @@ class SweepSpec:
     @classmethod
     def make(cls, name: str, title: str, scenarios, assembler: str = "rows",
              description: str = "", **assembler_params: Any) -> "SweepSpec":
-        _check_jsonable(assembler_params, f"sweep {name!r} assembler")
         return cls(name=name, title=title, scenarios=tuple(scenarios),
                    assembler=assembler, description=description,
-                   assembler_params_json=canonical_json(assembler_params))
+                   assembler_params_json=_encode(
+                       assembler_params, f"sweep {name!r} assembler"))
 
     @property
     def assembler_params(self) -> Dict[str, Any]:
         return json.loads(self.assembler_params_json)
 
     def key(self) -> str:
-        """Content hash of the whole sweep (scenario keys + assembly)."""
-        record = canonical_json({
-            "schema": SCHEMA_VERSION,
-            "name": self.name,
-            "assembler": self.assembler,
-            "assembler_params": self.assembler_params,
-            "scenarios": [s.key() for s in self.scenarios],
-        })
-        return hashlib.sha256(record.encode("utf-8")).hexdigest()
+        """Content hash of the whole sweep (scenario keys + assembly),
+        memoized per instance like :meth:`ScenarioSpec.key`."""
+        memo = self.__dict__.get("_key")
+        if memo is None or memo[0] != SCHEMA_VERSION:
+            record = canonical_json({
+                "schema": SCHEMA_VERSION,
+                "name": self.name,
+                "assembler": self.assembler,
+                "assembler_params": self.assembler_params,
+                "scenarios": [s.key() for s in self.scenarios],
+            })
+            memo = (SCHEMA_VERSION, _sha256(record))
+            self.__dict__["_key"] = memo
+        return memo[1]
 
     def __len__(self) -> int:
         return len(self.scenarios)

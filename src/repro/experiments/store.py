@@ -34,11 +34,17 @@ class ResultStore:
 
     def __init__(self, root: Union[str, Path] = DEFAULT_CACHE_DIR):
         self.root = Path(root)
+        self._root = os.fspath(self.root)
 
     # -- paths ---------------------------------------------------------
 
     def path_for(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+        return Path(self._file(key))
+
+    def _file(self, key: str) -> str:
+        # Plain string joins: a warm re-run resolves one path per scenario,
+        # and two pathlib ``/`` per record cost more than the read itself.
+        return os.path.join(self._root, key[:2], key + ".json")
 
     # -- scenario records ----------------------------------------------
 
@@ -113,17 +119,16 @@ class ResultStore:
     # -- plumbing ------------------------------------------------------
 
     def _read(self, key: str) -> Optional[Dict[str, Any]]:
-        path = self.path_for(key)
         try:
-            with open(path, encoding="utf-8") as f:
-                text = f.read()
-            record = json.loads(text)
+            with open(self._file(key), "rb") as f:
+                data = f.read()
+            record = json.loads(data.decode("utf-8"))
         except (OSError, ValueError):
             return None
         m = get_metrics()
         if m.enabled:
             m.inc("store.reads")
-            m.inc("store.read_bytes", len(text.encode("utf-8")))
+            m.inc("store.read_bytes", len(data))
         if not isinstance(record, dict) or record.get("schema") != RECORD_SCHEMA:
             return None
         if record.get("key") != key:
@@ -131,12 +136,13 @@ class ResultStore:
         return record
 
     def _write(self, key: str, record: Mapping[str, Any]) -> None:
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        path = self._file(key)
+        shard = os.path.dirname(path)
+        os.makedirs(shard, exist_ok=True)
         # Serialized up front (byte-identical to streaming json.dump) so the
         # write can be metered without a second encode.
         text = json.dumps(record, indent=2, sort_keys=True) + "\n"
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        fd, tmp = tempfile.mkstemp(dir=shard, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as f:
                 f.write(text)

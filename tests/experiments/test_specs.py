@@ -6,11 +6,16 @@ identical across param orderings, processes, and machines — and
 pinned here, including a subprocess check for cross-process stability.
 """
 
+import dataclasses
+import hashlib
 import os
+import pickle
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.experiments import (
@@ -19,8 +24,10 @@ from repro.experiments import (
     SweepSpec,
     grid_params,
     scenario,
+    sweep_with_backend,
     zip_params,
 )
+from repro.experiments.specs import canonical_json
 
 
 def test_grid_params_cartesian_order():
@@ -125,3 +132,68 @@ def test_schema_version_feeds_key(monkeypatch):
     monkeypatch.setattr("repro.experiments.specs.SCHEMA_VERSION",
                         SCHEMA_VERSION + 1)
     assert spec.key() != before
+
+
+# -- one key per spec ------------------------------------------------------
+
+#: JSON-representable parameter values: non-ASCII text, every float
+#: (NaN and infinities included, as ``json`` encodes them), bools, None,
+#: and nested lists/objects.
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=12)
+#: ``ScenarioSpec.make``'s own argument names cannot be parameter names.
+_param_names = st.text().filter(lambda k: k not in ("cls", "runner", "label"))
+
+
+@given(runner=st.text(min_size=1),
+       params=st.dictionaries(_param_names, _json_values, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_spliced_key_equals_canonical_record_hash(runner, params):
+    """The key splices ``params_json`` into the record envelope; its bytes
+    must equal the canonical encoding of the whole record."""
+    spec = ScenarioSpec.make(runner, **params)
+    record = canonical_json({"schema": SCHEMA_VERSION, "runner": runner,
+                             "params": params})
+    assert spec.key() == hashlib.sha256(record.encode("utf-8")).hexdigest()
+    assert spec.key() == spec.key()
+
+
+def test_copies_get_fresh_keys():
+    """A memoized key never leaks into a copy with different fields."""
+    spec = scenario("r", label="a", x=1)
+    key = spec.key()
+    assert spec.with_params(x=2).key() == scenario("r", x=2).key() != key
+    assert (spec.with_backend("analytic").key()
+            == scenario("r", x=1, backend="analytic").key() != key)
+    assert (spec.with_algo("ring").key()
+            == scenario("r", x=1, algo="ring").key() != key)
+    assert (dataclasses.replace(spec, runner="r2").key()
+            == scenario("r2", x=1).key() != key)
+    assert dataclasses.replace(spec, label="b").key() == key
+    assert spec.with_backend("analytic").with_backend("sim").key() == key
+
+    sweep = SweepSpec.make("s", "T", [spec], assembler="rows")
+    sweep_key = sweep.key()
+    assert sweep_with_backend(sweep, "analytic").key() != sweep_key
+    assert dataclasses.replace(sweep, name="s2").key() != sweep_key
+    assert sweep_with_backend(sweep, "sim").key() == sweep_key
+
+
+def test_pickle_roundtrip_keeps_key_and_equality():
+    """Spawn workers receive pickled specs, with or without a memoized
+    key; either way the clone equals the original and hashes alike."""
+    hashed = scenario("r", label="a", x=1.5, name="na\u00efve")
+    hashed.key()
+    fresh = scenario("r", label="b", x=[1, {"y": None}])
+    for spec in (hashed, fresh):
+        clone = pickle.loads(pickle.dumps(spec))
+        assert clone == spec
+        assert hash(clone) == hash(spec)
+        assert clone.key() == spec.key()
+    sweep = SweepSpec.make("s", "T", [hashed, fresh], assembler="rows")
+    sweep.key()
+    clone = pickle.loads(pickle.dumps(sweep))
+    assert clone == sweep and clone.key() == sweep.key()
