@@ -110,14 +110,13 @@ def register_sweep(spec: SweepSpec, overwrite: bool = False) -> SweepSpec:
 
 
 def register_sweep_factory(name: str, title: str,
-                           factory: Callable[[], SweepSpec],
-                           overwrite: bool = False) -> None:
+                           factory: Callable[[], SweepSpec]) -> None:
     """Register a sweep that ``factory()`` builds on its first lookup.
 
     The label check of :func:`register_sweep` runs at that build, as does
     a check that the built sweep carries the registered name and title.
     """
-    _claim(name, overwrite)
+    _claim(name, overwrite=False)
     SWEEPS[name] = _Unbuilt(title, factory)
 
 
