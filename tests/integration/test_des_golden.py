@@ -9,7 +9,15 @@ full result; the test replays every scenario and compares the result's
 canonical JSON byte for byte, so any change to simulated timing shows up
 here.
 
-Regenerate (only when a change to simulated results is intended)::
+``data/golden_des_counters.json`` holds, for the same scenarios in the same
+order, the run-metrics registry's counters and gauges (events processed,
+heap peak, kernel launches and tasks, fast-path kernels and tasks, ``auto``
+collective picks) from a run with a fresh registry.  Timers are left out.
+The replay compares them exactly, so a change that adds or removes engine
+events or kernel tasks shows up here even when every result stays put.
+
+Regenerate both (only when a change to simulated results or to the work
+the engine does is intended)::
 
     PYTHONPATH=src python tests/integration/test_des_golden.py
 """
@@ -22,8 +30,10 @@ import pytest
 
 from repro.experiments.execution import run_scenario
 from repro.experiments.specs import ScenarioSpec, canonical_json
+from repro.obs.metrics import enable_metrics, reset_metrics
 
 GOLDEN = Path(__file__).parent / "data" / "golden_des_results.json"
+COUNTERS = Path(__file__).parent / "data" / "golden_des_counters.json"
 
 RUNNERS = ("embedding_a2a_pair", "embedding_fused", "embedding_grad_pair",
            "gemv_allreduce_pair", "gemm_a2a_pair")
@@ -88,20 +98,39 @@ def _scenario_params(rng, i):
     return runner, p
 
 
+def run_counted(runner, params):
+    """Run one scenario with a fresh metrics registry.
+
+    Returns the result and ``{"counters": ..., "gauges": ...}`` of that run.
+    """
+    registry = enable_metrics()
+    try:
+        result = run_scenario(ScenarioSpec.make(runner, **params))
+    finally:
+        reset_metrics()
+    snap = registry.snapshot()
+    return result, {"counters": snap["counters"], "gauges": snap["gauges"]}
+
+
 def generate():
-    """The seeded scenario list with each scenario's current result."""
+    """The seeded scenario list with each scenario's current result, and
+    the matching list of work counters."""
     rng = random.Random(0xDE5)
-    records = []
+    records, counters = [], []
     for i in range(N_SCENARIOS):
         runner, params = _scenario_params(rng, i)
-        spec = ScenarioSpec.make(runner, **params)
-        records.append({"runner": runner, "params": params,
-                        "result": run_scenario(spec)})
-    return records
+        result, work = run_counted(runner, params)
+        records.append({"runner": runner, "params": params, "result": result})
+        counters.append({"runner": runner, "params": params, **work})
+    return records, counters
 
 
 def _records():
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def _counters():
+    return json.loads(COUNTERS.read_text(encoding="utf-8"))
 
 
 def test_golden_covers_runners_platforms_and_shapes():
@@ -119,19 +148,32 @@ def test_golden_covers_runners_platforms_and_shapes():
     assert any("tasks_per_slice" in p for p in params)
 
 
+def test_counters_golden_pairs_with_results_golden():
+    recs, counters = _records(), _counters()
+    assert [(r["runner"], r["params"]) for r in recs] == \
+        [(c["runner"], c["params"]) for c in counters]
+    for c in counters:
+        assert c["counters"]["sim.events_processed"] > 0
+        assert c["counters"]["kernel.tasks"] > 0
+        assert c["gauges"]["sim.heap_peak"] > 0
+
+
 @pytest.mark.parametrize("runner", RUNNERS)
 def test_des_results_match_golden(runner):
-    for rec in _records():
+    for rec, work in zip(_records(), _counters()):
         if rec["runner"] != runner:
             continue
-        spec = ScenarioSpec.make(runner, **rec["params"])
-        got = run_scenario(spec)
+        got, got_work = run_counted(runner, rec["params"])
         assert canonical_json(got) == canonical_json(rec["result"]), \
             rec["params"]
+        assert got_work == {"counters": work["counters"],
+                            "gauges": work["gauges"]}, rec["params"]
 
 
 if __name__ == "__main__":
+    records, counters = generate()
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(generate(), indent=1, sort_keys=True) + "\n",
-                      encoding="utf-8")
-    print(f"wrote {GOLDEN}")
+    for path, data in ((GOLDEN, records), (COUNTERS, counters)):
+        path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n",
+                        encoding="utf-8")
+        print(f"wrote {path}")
