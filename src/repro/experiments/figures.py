@@ -1185,7 +1185,7 @@ def trace_smoke_sweep(name: str = "trace-smoke") -> SweepSpec:
                  platform=_platform_param(None)),
     ]
     return SweepSpec.make(
-        name, "Trace smoke", scenarios, assembler="rows", figure="Trace",
+        name, "Trace smoke", scenarios, assembler="timeline", figure="Trace",
         description="pinned traced scenario for the golden Chrome-trace "
                     "export check")
 

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments import get_sweep, run_sweep
 from repro.experiments.cli import main
 from repro.obs.chrome import validate_chrome_trace
 from repro.obs.metrics import reset_metrics
@@ -40,6 +41,15 @@ def test_golden_trace_is_valid_chrome_trace():
     names = {e["args"]["name"] for e in data["traceEvents"]
              if e["ph"] == "M" and e["name"] == "process_name"}
     assert names == {"trace-smoke:trace 64|4/run0"}
+
+
+def test_trace_smoke_sweep_assembles_a_figure():
+    # `repro run trace-smoke` (and so `repro run all`) assembles the sweep
+    # as a figure, not only exports its trace.
+    fig = run_sweep(get_sweep("trace-smoke")).figure()
+    assert fig.extra["puts_issued_node0"] == 16
+    assert "gpu0/wg0" in fig.extra["timeline"]
+    assert "gpu0/wg0" in fig.render()
 
 
 def test_trace_scenario_filter(tmp_path, capsys):
