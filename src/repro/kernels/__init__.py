@@ -3,7 +3,7 @@
 from .flags import WgDoneBitmask
 from .grid import SlotContext, WgTask
 from .kernel import PersistentKernel, make_uniform_tasks, run_kernel
-from .occupancy import max_active_wgs, occupancy_sweep_points, suggest_grid
+from .occupancy import max_active_wgs, occupancy_sweep_points
 from .scheduler import SCHEDULERS, comm_aware_order, get_scheduler, oblivious_order
 
 __all__ = [
@@ -19,5 +19,4 @@ __all__ = [
     "oblivious_order",
     "occupancy_sweep_points",
     "run_kernel",
-    "suggest_grid",
 ]

@@ -7,32 +7,16 @@ that query plus the sweep used in Fig. 13.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
-from ..hw.gpu import Gpu, KernelResources, OccupancyInfo
+from ..hw.gpu import Gpu, KernelResources
 
-__all__ = ["max_active_wgs", "suggest_grid", "occupancy_sweep_points"]
+__all__ = ["max_active_wgs", "occupancy_sweep_points"]
 
 
 def max_active_wgs(gpu: Gpu, resources: KernelResources) -> int:
     """Device-wide resident-WG limit for a kernel (HIP occupancy query)."""
     return gpu.occupancy(resources).resident_wgs
-
-
-def suggest_grid(gpu: Gpu, resources: KernelResources,
-                 occupancy_fraction: float = 1.0) -> OccupancyInfo:
-    """Occupancy info for a persistent launch at a fraction of the max.
-
-    ``occupancy_fraction`` is relative to this kernel's own achievable
-    occupancy (the Fig. 13 x-axis is relative to the *baseline* kernel;
-    callers convert).
-    """
-    if not (0.0 < occupancy_fraction <= 1.0):
-        raise ValueError(
-            f"occupancy_fraction must be in (0, 1], got {occupancy_fraction}")
-    occ = gpu.occupancy(resources)
-    return occ.limited_to(max(1, int(round(occ.resident_wgs
-                                           * occupancy_fraction))))
 
 
 def occupancy_sweep_points(max_fraction: float = 0.875,

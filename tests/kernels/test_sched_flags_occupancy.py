@@ -13,7 +13,6 @@ from repro.kernels import (
     max_active_wgs,
     oblivious_order,
     occupancy_sweep_points,
-    suggest_grid,
 )
 from repro.sim import Simulator
 
@@ -139,16 +138,6 @@ def test_max_active_wgs_matches_gpu():
     gpu = Gpu(Simulator(), MI210, gpu_id=0)
     res = KernelResources(256, 64)
     assert max_active_wgs(gpu, res) == gpu.occupancy(res).resident_wgs
-
-
-def test_suggest_grid_fraction():
-    gpu = Gpu(Simulator(), MI210, gpu_id=0)
-    res = KernelResources(256, 64)
-    full = suggest_grid(gpu, res, 1.0)
-    half = suggest_grid(gpu, res, 0.5)
-    assert half.resident_wgs == full.resident_wgs // 2
-    with pytest.raises(ValueError):
-        suggest_grid(gpu, res, 0.0)
 
 
 def test_occupancy_sweep_points_match_fig13():
