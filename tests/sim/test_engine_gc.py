@@ -18,15 +18,13 @@ from repro.obs.metrics import enable_metrics, reset_metrics
 from repro.sim import Simulator
 
 
-@pytest.fixture
-def gc_restored():
-    """Put the collector back the way the test found it, pass or fail."""
+@pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])
+def gc_on_entry(request):
+    """Set the collector's state for the test; put back the old one after."""
     was_enabled = gc.isenabled()
-    yield
-    if was_enabled:
-        gc.enable()
-    else:
-        gc.disable()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_enabled else gc.disable)()
 
 
 def _ticker(sim, seen, n=3):
@@ -35,42 +33,28 @@ def _ticker(sim, seen, n=3):
         yield sim.timeout(1.0)
 
 
-def test_gc_paused_inside_process_steps(gc_restored):
-    gc.enable()
+def test_run_pauses_gc_and_restores_it(gc_on_entry):
     sim = Simulator()
     seen = []
     sim.process(_ticker(sim, seen))
     sim.run()
     assert seen == [False, False, False]
-    assert gc.isenabled()
+    assert gc.isenabled() is gc_on_entry
 
 
-@pytest.mark.parametrize("enabled", [True, False])
-def test_run_restores_gc_state(gc_restored, enabled):
-    (gc.enable if enabled else gc.disable)()
-    sim = Simulator()
-    sim.process(_ticker(sim, []))
-    sim.run()
-    assert gc.isenabled() is enabled
-
-
-@pytest.mark.parametrize("enabled", [True, False])
-def test_run_until_restores_gc_state(gc_restored, enabled):
-    (gc.enable if enabled else gc.disable)()
+def test_run_until_restores_gc_state(gc_on_entry):
     sim = Simulator()
     seen = []
     sim.process(_ticker(sim, seen, n=10))
     assert sim.run(until=2.5) == 2.5
-    assert gc.isenabled() is enabled
+    assert gc.isenabled() is gc_on_entry
     assert seen == [False, False, False]
     sim.run()
-    assert gc.isenabled() is enabled
-    assert len(seen) == 10
+    assert gc.isenabled() is gc_on_entry
+    assert seen == [False] * 10
 
 
-@pytest.mark.parametrize("enabled", [True, False])
-def test_failed_process_restores_gc_state(gc_restored, enabled):
-    (gc.enable if enabled else gc.disable)()
+def test_failed_process_restores_gc_state(gc_on_entry):
     sim = Simulator()
 
     def boom(sim):
@@ -79,12 +63,10 @@ def test_failed_process_restores_gc_state(gc_restored, enabled):
 
     with pytest.raises(ValueError, match="boom"):
         sim.run_process(boom(sim))
-    assert gc.isenabled() is enabled
+    assert gc.isenabled() is gc_on_entry
 
 
-@pytest.mark.parametrize("enabled", [True, False])
-def test_exception_out_of_loop_restores_gc_state(gc_restored, enabled):
-    (gc.enable if enabled else gc.disable)()
+def test_exception_out_of_loop_restores_gc_state(gc_on_entry):
     sim = Simulator()
 
     def explode(_event):
@@ -93,11 +75,10 @@ def test_exception_out_of_loop_restores_gc_state(gc_restored, enabled):
     sim.timeout(1.0).add_callback(explode)
     with pytest.raises(RuntimeError, match="callback failed"):
         sim.run()
-    assert gc.isenabled() is enabled
+    assert gc.isenabled() is gc_on_entry
 
 
-def test_nested_run_keeps_outer_pause(gc_restored):
-    gc.enable()
+def test_nested_run_keeps_outer_pause(gc_on_entry):
     outer = Simulator()
     seen = []
 
@@ -113,7 +94,7 @@ def test_nested_run_keeps_outer_pause(gc_restored):
     outer.process(driver(outer))
     outer.run()
     assert seen == [False, False]
-    assert gc.isenabled()
+    assert gc.isenabled() is gc_on_entry
 
 
 _EMBEDDING = dict(slice_vectors=16, num_nodes=1, gpus_per_node=2)
@@ -143,21 +124,22 @@ def _cyclic_garbage(spec):
     """
     run_scenario(spec)
     registry = enable_metrics()
+    was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
         run_scenario(spec)
         garbage = gc.collect()
     finally:
-        gc.enable()
+        if was_enabled:
+            gc.enable()
         reset_metrics()
     return registry.counters["sim.events_processed"], garbage
 
 
 @pytest.mark.parametrize("runner,small,large", SIZES,
                          ids=[s[0] for s in SIZES])
-def test_cyclic_garbage_does_not_grow_with_events(gc_restored, runner,
-                                                  small, large):
+def test_cyclic_garbage_does_not_grow_with_events(runner, small, large):
     events_small, garbage_small = _cyclic_garbage(
         ScenarioSpec.make(runner, **small))
     events_large, garbage_large = _cyclic_garbage(
