@@ -10,9 +10,9 @@ canonical JSON byte for byte, so any change to simulated timing shows up
 here.
 
 ``data/golden_des_counters.json`` holds, for the same scenarios in the same
-order, the run-metrics registry's counters and gauges (events processed,
-heap peak, kernel launches and tasks, fast-path kernels and tasks, ``auto``
-collective picks) from a run with a fresh registry.  Timers are left out.
+order, every counter and gauge the run-metrics registry records in a run
+with a fresh registry (events processed, heap peak, kernel launches and
+tasks, ``auto`` collective picks).  Timers are left out.
 The replay compares them exactly, so a change that adds or removes engine
 events or kernel tasks shows up here even when every result stays put.
 
