@@ -82,7 +82,7 @@ def test_nested_run_keeps_outer_pause(gc_on_entry):
     outer = Simulator()
     seen = []
 
-    def driver(sim):
+    def outer_proc(sim):
         yield sim.timeout(1.0)
         inner = Simulator()
         inner.process(_ticker(inner, []))
@@ -91,7 +91,7 @@ def test_nested_run_keeps_outer_pause(gc_on_entry):
         yield sim.timeout(1.0)
         seen.append(gc.isenabled())
 
-    outer.process(driver(outer))
+    outer.process(outer_proc(outer))
     outer.run()
     assert seen == [False, False]
     assert gc.isenabled() is gc_on_entry
