@@ -1,6 +1,8 @@
 """Mega sweeps: axis-defined grids, sweep-level caching, and the
 vectorized frontier assembly vs the scalar dse_frontier semantics."""
 
+from pathlib import Path
+
 import numpy as np
 
 from oracles import pareto_frontier_legacy
@@ -16,6 +18,8 @@ from repro.experiments.mega import (
 from repro.experiments.report import report_json
 from repro.experiments.specs import grid_params
 from repro.experiments.store import ResultStore
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def test_spec_len_and_key_stability():
@@ -89,6 +93,15 @@ def test_frontier_matches_scalar_dse_assembly():
     assert got_rows == expected_rows
     n_global = len(pareto_frontier_legacy(points, objectives))
     assert len(fig.extra["global_frontier"]) == n_global
+
+
+def test_dse_mega_report_is_byte_identical_to_golden():
+    """The full 103,680-point report (every frontier row, the exact ties,
+    the global frontier and the formatted numbers) is pinned byte for
+    byte: it is what ``repro run dse_mega --report-dir`` writes."""
+    golden = (DATA / "golden_dse_mega_report.json").read_text(
+        encoding="utf-8")
+    assert report_json(run_mega(dse_mega_sweep()).report()) == golden
 
 
 def test_report_shape_and_render():
