@@ -4,8 +4,8 @@ The analytic backend makes grids of thousands of scenarios cheap — and the
 vectorized mega-batch engine (:mod:`repro.analytic.batch`) grids of
 *millions* — so the frontier extraction itself must scale too.
 :func:`pareto_mask` finds the non-dominated subset of an ``(n, k)``
-objective array in ``O(n log n)`` for two objectives (a sort plus
-prefix-minimum scan) and a sorted frontier-scan for ``k > 2``;
+objective array in ``O(n log n)`` for two objectives (one stable sort
+plus a prefix-minimum scan) and a sorted frontier-scan for ``k > 2``;
 :func:`pareto_frontier` keeps the historical item-level API on top of it.
 
 :func:`refine` adds the first *search-driven* explorer: Pareto-guided
@@ -51,9 +51,13 @@ def pareto_mask(objs: np.ndarray) -> np.ndarray:
     """Boolean mask of the non-dominated rows of an ``(n, k)`` array.
 
     Same dominance semantics as :func:`dominates` (minimize every column;
-    duplicate rows are all non-dominated).  ``k == 2`` runs in
-    ``O(n log n)``; larger ``k`` falls back to a sorted scan against the
-    growing frontier, which is near-linear for typical frontier sizes.
+    duplicate rows are all non-dominated; ``±inf`` are ordinary values).
+    A row with any NaN objective compares False against everything, so,
+    exactly as :func:`dominates` says, it is never dominated and
+    dominates nothing: such rows are kept and the rest are scanned
+    without them.  ``k == 2`` runs in ``O(n log n)``; larger ``k`` falls
+    back to a sorted scan against the growing frontier, which is
+    near-linear for typical frontier sizes.
     """
     objs = np.asarray(objs, np.float64)
     if objs.ndim != 2:
@@ -63,6 +67,11 @@ def pareto_mask(objs: np.ndarray) -> np.ndarray:
         return np.zeros(0, bool)
     if k == 0:
         raise ValueError("need at least one objective")
+    has_nan = np.isnan(objs).any(axis=1)
+    if has_nan.any():
+        mask = np.ones(n, bool)
+        mask[~has_nan] = pareto_mask(objs[~has_nan])
+        return mask
     if k == 1:
         return objs[:, 0] == objs[:, 0].min()
     if k == 2:
@@ -85,22 +94,23 @@ def pareto_mask(objs: np.ndarray) -> np.ndarray:
 
 
 def _pareto_mask_2d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Two-objective mask: sort by ``(a, b)``, then one prefix-min scan.
+    """Two-objective mask (NaN-free input): one stable sort by ``a`` plus
+    a prefix-minimum scan.
 
     A point is dominated iff some strictly-smaller-``a`` point has
-    ``b <=`` its own (the prefix minimum over earlier ``a`` groups), or a
-    same-``a`` point has strictly smaller ``b`` (the group minimum)."""
-    n = len(a)
-    order = np.lexsort((b, a))
+    ``b <=`` its own (the prefix minimum over the earlier ``a`` groups),
+    or a same-``a`` point has strictly smaller ``b`` (the group minimum,
+    taken with one ``reduceat`` rather than a second sort key).  The
+    first group's prefix is NaN, which compares False, so nothing before
+    it can dominate — even at ``b == +inf``."""
+    order = np.argsort(a, kind="stable")
     a_s, b_s = a[order], b[order]
     new_group = np.r_[True, a_s[1:] != a_s[:-1]]
+    group_min_b = np.minimum.reduceat(b_s, np.flatnonzero(new_group))
     gid = np.cumsum(new_group) - 1
-    group_min_b = b_s[new_group]            # first-in-group = min (b-sorted)
-    prev_min = np.concatenate(
-        ([np.inf], np.minimum.accumulate(group_min_b)[:-1]))[gid]
-    dominated_s = (prev_min <= b_s) | (group_min_b[gid] < b_s)
-    dominated = np.empty(n, bool)
-    dominated[order] = dominated_s
+    prev_min = np.r_[np.nan, np.minimum.accumulate(group_min_b)[:-1]][gid]
+    dominated = np.empty(len(a), bool)
+    dominated[order] = (prev_min <= b_s) | (group_min_b[gid] < b_s)
     return ~dominated
 
 

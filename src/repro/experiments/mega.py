@@ -170,7 +170,15 @@ def _assemble_frontier(spec: MegaSweepSpec,
     Pareto frontiers of (fused latency, fused-over-baseline speedup),
     plus the globally undominated subset — computed with
     :func:`~repro.analytic.explorer.pareto_mask` on the output columns
-    instead of per-scenario tuples."""
+    instead of per-scenario tuples.
+
+    The global frontier is the Pareto subset of the *union* of the
+    per-platform frontiers, not of every grid row, and that is exact:
+    a globally undominated point is undominated within its own platform,
+    so it is in the union; a dominated point is dominated by some
+    globally undominated point (transitivity on a finite set), which is
+    in the union; and equal objective vectors never dominate each other,
+    so duplicates are kept exactly as before."""
     from ..analytic.explorer import pareto_mask
     axes = spec.axes
     idx_cols = _axis_index_columns(axes)
@@ -201,7 +209,8 @@ def _assemble_frontier(spec: MegaSweepSpec,
             "fused_us": round(float(fused[r]) * 1e6, 3),
             "speedup": round(float(speedup[r]), 4),
         })
-    global_rows = np.flatnonzero(pareto_mask(objs))
+    union = np.asarray(frontier_rows, np.int64)
+    global_rows = union[pareto_mask(objs[union])]
     best = int(np.argmax(speedup))
     res.extra["n_scenarios"] = len(fused)
     res.extra["n_frontier"] = len(frontier_data)
