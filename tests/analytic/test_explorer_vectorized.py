@@ -3,7 +3,7 @@ successive-refinement explorer."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import pareto_frontier_legacy
@@ -32,14 +32,60 @@ def test_matches_legacy_on_random_grids(k, levels):
         assert got == want
 
 
-@given(st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
-                min_size=0, max_size=60))
-@settings(max_examples=60, deadline=None)
-def test_matches_legacy_on_float_pairs(pts):
+INF, NAN = float("inf"), float("nan")
+
+# Any float, NaN and ±inf included, mixed with a small pool of special
+# values so that exact ties, signed zeros and duplicate rows are common.
+_objective = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [NAN, -INF, INF, -0.0, 0.0, 1.0, 2.0, 3.0])
+
+
+def _assert_matches_legacy(pts):
     items = list(range(len(pts)))
     got = pareto_frontier(items, lambda i: pts[i])
     want = pareto_frontier_legacy(items, lambda i: pts[i])
     assert got == want
+
+
+@given(st.lists(st.tuples(_objective), min_size=0, max_size=60))
+@example([(NAN,), (1.0,), (2.0,)])
+@settings(max_examples=60, deadline=None)
+def test_matches_legacy_on_float_singles(pts):
+    _assert_matches_legacy(pts)
+
+
+@given(st.lists(st.tuples(_objective, _objective), min_size=0, max_size=60))
+@example([(0.0, INF)])
+@example([(1.0, 3.0), (-INF, INF)])
+@example([(NAN, 1.0), (NAN, 2.0), (0.0, 5.0)])
+@settings(max_examples=60, deadline=None)
+def test_matches_legacy_on_float_pairs(pts):
+    _assert_matches_legacy(pts)
+
+
+@given(st.lists(st.tuples(_objective, _objective, _objective),
+                min_size=0, max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_matches_legacy_on_float_triples(pts):
+    _assert_matches_legacy(pts)
+
+
+@given(st.integers(1, 3).flatmap(lambda k: st.lists(
+    st.tuples(st.integers(0, 3),
+              st.tuples(*[st.sampled_from([NAN, -INF, INF, 0.0, 1.0, 2.0])]
+                        * k)),
+    min_size=1, max_size=60)))
+@settings(max_examples=80, deadline=None)
+def test_global_frontier_is_frontier_of_group_frontier_union(rows):
+    """The Pareto subset of the union of per-group frontiers is exactly
+    the Pareto subset of all rows (the mega assembler's shortcut)."""
+    groups = np.array([g for g, _ in rows])
+    objs = np.array([o for _, o in rows], float)
+    union = np.concatenate([
+        np.flatnonzero(groups == g)[pareto_mask(objs[groups == g])]
+        for g in np.unique(groups)])
+    got = np.sort(union[pareto_mask(objs[union])])
+    assert got.tolist() == np.flatnonzero(pareto_mask(objs)).tolist()
 
 
 def test_keeps_input_order_and_duplicates():

@@ -9,6 +9,8 @@ from oracles import pareto_frontier_legacy
 from repro.analytic import predict_embedding_a2a
 from repro.experiments.mega import (
     MegaSweepSpec,
+    _axis_index_columns,
+    _point_label,
     dse_mega_smoke_sweep,
     dse_mega_sweep,
     find_mega,
@@ -91,8 +93,13 @@ def test_frontier_matches_scalar_dse_assembly():
     assert fig.extra["frontier_by_platform"] == by_platform
     got_rows = [(r.fused_time, r.baseline_time) for r in fig.rows]
     assert got_rows == expected_rows
-    n_global = len(pareto_frontier_legacy(points, objectives))
-    assert len(fig.extra["global_frontier"]) == n_global
+    # Grid row i is points[i], so the oracle's global frontier maps to
+    # labels through the same axis-index columns the assembler uses.
+    idx_cols = _axis_index_columns(spec.axes)
+    global_rows = pareto_frontier_legacy(range(len(points)),
+                                         lambda i: objectives(points[i]))
+    assert fig.extra["global_frontier"] == sorted(
+        _point_label(spec.axes, idx_cols, i) for i in global_rows)
 
 
 def test_dse_mega_report_is_byte_identical_to_golden():
