@@ -360,7 +360,9 @@ class ScenarioBatch:
             for ln, k in zip(reversed(shape), reversed(struct_names)):
                 vals.append(axes[k][cid % ln])
                 cid //= ln
-            yield np.sort(order[b:e]), tuple(reversed(vals))
+            # ``order`` is a stable argsort, so each group's slice is
+            # already in ascending row order.
+            yield order[b:e], tuple(reversed(vals))
 
     # -- schema guards -------------------------------------------------------
     @staticmethod
