@@ -67,10 +67,11 @@ def pareto_mask(objs: np.ndarray) -> np.ndarray:
         return np.zeros(0, bool)
     if k == 0:
         raise ValueError("need at least one objective")
-    has_nan = np.isnan(objs).any(axis=1)
-    if has_nan.any():
+    nan = np.isnan(objs)
+    if nan.any():
+        clean = ~nan.any(axis=1)
         mask = np.ones(n, bool)
-        mask[~has_nan] = pareto_mask(objs[~has_nan])
+        mask[clean] = pareto_mask(objs[clean])
         return mask
     if k == 1:
         return objs[:, 0] == objs[:, 0].min()
