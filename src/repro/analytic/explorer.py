@@ -101,9 +101,8 @@ def _pareto_mask_2d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     A point is dominated iff some strictly-smaller-``a`` point has
     ``b <=`` its own (the prefix minimum over the earlier ``a`` groups),
     or a same-``a`` point has strictly smaller ``b`` (the group minimum,
-    taken with one ``reduceat`` rather than a second sort key).  The
-    first group's prefix is NaN, which compares False, so nothing before
-    it can dominate — even at ``b == +inf``."""
+    one ``reduceat``).  The first group's prefix is NaN, which compares
+    False, so nothing before it can dominate — even at ``b == +inf``."""
     order = np.argsort(a, kind="stable")
     a_s, b_s = a[order], b[order]
     new_group = np.r_[True, a_s[1:] != a_s[:-1]]
