@@ -25,7 +25,7 @@ held to an accuracy budget against these simulated operators by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from ..hw.platform import (
 )
 from ..hw.topology import Cluster
 from ..obs.capture import harness_trace
+from ..obs.metrics import get_metrics
 from ..sim import Simulator, TraceRecorder
 
 __all__ = ["OpResult", "OpHarness", "fused_kernel_resources",
@@ -119,8 +120,25 @@ class OpHarness:
 
     def run(self, op) -> OpResult:
         """Execute an operator (anything with ``.run()`` returning a
-        generator of per-rank outputs) and measure elapsed simulated time."""
+        generator of per-rank outputs) and measure elapsed simulated time.
+
+        While the run-metrics registry is live, the run's puts and fabric
+        transfers are added to it as ``comm.puts`` and ``fabric.transfers``,
+        read once from the per-object counters the hot paths keep.
+        """
+        m = get_metrics()
+        if m.enabled:
+            puts, transfers = self._traffic()
         start = self.sim.now
         outputs = self.sim.run_process(op.run(), name=type(op).__name__)
+        if m.enabled:
+            puts_after, transfers_after = self._traffic()
+            m.inc("comm.puts", puts_after - puts)
+            m.inc("fabric.transfers", transfers_after - transfers)
         return OpResult(elapsed=self.sim.now - start, outputs=outputs,
                         stats=getattr(op, "stats", {}))
+
+    def _traffic(self) -> Tuple[int, int]:
+        """(SHMEM puts issued, fabric/NIC/switch transfers started) so far."""
+        return (sum(ctx.puts_issued for ctx in self.comm.ctxs),
+                self.cluster.transfers())

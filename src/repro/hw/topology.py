@@ -75,6 +75,18 @@ class Cluster:
     def same_node(self, rank_a: int, rank_b: int) -> bool:
         return self.gpus[rank_a].node_id == self.gpus[rank_b].node_id
 
+    def transfers(self) -> int:
+        """Transfers started so far on every fabric link, NIC transmit
+        engine and switch port (one per ``transfer`` call)."""
+        n = sum(link.transfers for node in self.nodes
+                for link in node.fabric.links().values())
+        n += sum(node.nic.messages for node in self.nodes
+                 if node.nic is not None)
+        if self.network is not None:
+            n += sum(self.network.rx_port(i).messages_sent
+                     for i in range(self.network.num_nodes))
+        return n
+
 
 def build_node(sim: Simulator, spec: Optional[NodeSpec] = None,
                node_id: int = 0, first_gpu_id: int = 0,

@@ -175,12 +175,14 @@ class FairShareLink:
         self._armed: list = []       # keys of this link's engine entries
         self.bytes_sent = 0.0
         self.busy_time = 0.0
+        self.transfers = 0
 
     # -- public API ---------------------------------------------------------
     def transfer(self, nbytes: float, value: Any = None) -> Event:
         """Start a flow of ``nbytes``; returns its completion event."""
         if nbytes < 0:
             raise ValueError(f"negative transfer size: {nbytes}")
+        self.transfers += 1
         ev = self.sim.event()
         if nbytes == 0:
             ev.succeed(value, delay=self.latency)
