@@ -236,17 +236,23 @@ class FusedEmbeddingAllToAll:
                     else base_cost)
             for s in range(n_s):
                 for t in range(cfg.tables_per_gpu):
-                    for piece in range(tasks_per_slice):
-                        last = piece == tasks_per_slice - 1
-                        tasks.append(WgTask(
-                            task_id=task_id, cost=cost, repeat=repeat,
-                            meta={"remote": remote, "dest": d, "table": t,
-                                  "slice": s, "last": last},
-                            compute=(self._make_compute(rank, d, t, s)
-                                     if (last and cfg.functional) else None),
-                            on_complete=(self._make_hook(ctx, rank, d, t, s)
-                                         if last else None)))
-                        task_id += 1
+                    # A slice's hook-free leading pieces share one meta.
+                    if tasks_per_slice > 1:
+                        meta = {"remote": remote, "dest": d, "table": t,
+                                "slice": s, "last": False}
+                        for _ in range(tasks_per_slice - 1):
+                            tasks.append(WgTask(
+                                task_id=task_id, cost=cost, repeat=repeat,
+                                meta=meta))
+                            task_id += 1
+                    tasks.append(WgTask(
+                        task_id=task_id, cost=cost, repeat=repeat,
+                        meta={"remote": remote, "dest": d, "table": t,
+                              "slice": s, "last": True},
+                        compute=(self._make_compute(rank, d, t, s)
+                                 if cfg.functional else None),
+                        on_complete=self._make_hook(ctx, rank, d, t, s)))
+                    task_id += 1
         return get_scheduler(cfg.scheduler)(tasks)
 
     def _make_compute(self, rank: int, d: int, t: int, s: int):

@@ -162,7 +162,8 @@ class FusedEmbeddingGradAllToAll:
                         meta={"remote": remote, "role": "send",
                               "owner": owner, "table": t, "slice": s},
                         on_complete=self._make_send_hook(
-                            ctx, rank, owner, t, s)))
+                            ctx, rank, owner, t, s,
+                            spec.shmem_api_latency)))
                     task_id += 1
 
         # Apply tasks: wait for each incoming slice, scatter-add it.
@@ -170,14 +171,16 @@ class FusedEmbeddingGradAllToAll:
         # gradients first (their flags are set by this rank's own sends),
         # so the scatter-add overlaps the remote slices still in flight —
         # otherwise every physical WG head-of-line blocks on the wire.
+        # The scatter-add is charged inside the hook, after the wait.
         apply_cost = _scatter_cost(cfg, cfg.slice_vectors)
+        free = WgCost()
         src_order = ([rank] + [r for r in range(world) if r != rank]
                      if cfg.scheduler == "comm_aware" else range(world))
         for src_dst in src_order:
             for t in range(cfg.tables_per_gpu):
                 for s in range(n_s):
                     tasks.append(WgTask(
-                        task_id=task_id, cost=WgCost(),
+                        task_id=task_id, cost=free,
                         meta={"remote": False, "role": "apply",
                               "src": src_dst, "table": t, "slice": s},
                         on_complete=self._make_apply_hook(
@@ -185,7 +188,8 @@ class FusedEmbeddingGradAllToAll:
                     task_id += 1
         return get_scheduler(cfg.scheduler)(tasks)
 
-    def _make_send_hook(self, ctx, rank: int, owner: int, t: int, s: int):
+    def _make_send_hook(self, ctx, rank: int, owner: int, t: int, s: int,
+                        api_latency: float):
         cfg, world = self.cfg, self.world
         t_per = cfg.tables_per_gpu
         fidx = self.flag_index(rank, t, s)
@@ -203,8 +207,7 @@ class FusedEmbeddingGradAllToAll:
                 ctx.put_signal_bytes(owner, cfg.slice_bytes(),
                                      self.flags[owner], fidx, notify=False)
             if owner != rank:
-                yield slot_ctx.charge(
-                    self.cluster.gpu(rank).spec.shmem_api_latency)
+                yield slot_ctx.charge(api_latency)
 
         return hook
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from ..frameworks.triton import build_tasks, jit, tl
 from ..hw.gpu import WgCost, bulk_kernel_time
-from ..kernels import PersistentKernel, get_scheduler
+from ..kernels import PersistentKernel, WgTask, get_scheduler
 from ..ops.gemm import gemm_wg_cost
 from ..utils.xp import xp_of
 from .base import (
@@ -200,9 +200,14 @@ class FusedGemmAllToAll:
         grid = self._grid()
         tps = cfg.tokens_per_src(world)
         ctx = self.comm.ctx(rank)
+        # Per-destination completion counting (the WG_Done bitmask role):
+        # when the last tile for dest d has issued its put, the wrapped
+        # hook chains a fenced tileRdy signal behind the outstanding puts.
         tiles_per_dest = (tps // cfg.block_m) * grid[1]
         remaining = {d: tiles_per_dest for d in range(world)}
         pending_by_dst: dict = {}
+        # Only two tile costs exist; every task shares one of them.
+        costs = {remote: self._tile_cost(remote) for remote in (False, True)}
 
         def meta_fn(pos):
             dst = (pos[0] * cfg.block_m) // tps
@@ -216,39 +221,45 @@ class FusedGemmAllToAll:
                 gemm_a2a_kernel, grid,
                 (self.acts[rank], self.weights[rank], out_view, rank, tps,
                  cfg.block_m, cfg.block_n, cfg.tile_wire_bytes()),
-                cost=self._tile_cost(remote=False),  # per-task cost set below
+                cost=costs[False],  # per-task cost set below
                 shmem_ctx=ctx, meta_fn=meta_fn)
             for t in tasks:
-                t.cost = self._tile_cost(remote=t.meta["remote"])
+                t.cost = costs[t.meta["remote"]]
+                t.on_complete = self._wrap_hook(
+                    t.on_complete, t.meta["dest"], rank, ctx, remaining,
+                    pending_by_dst)
         else:
-            # Analytic mirror of the Triton path (same tasks, no payloads).
-            from ..kernels.grid import WgTask
-            spec = self.cluster.gpu(rank).spec
+            # Analytic mirror of the Triton path (same tasks, no payloads);
+            # a tile's hook depends only on its destination.
+            api_latency = self.cluster.gpu(rank).spec.shmem_api_latency
+            wire_bytes = cfg.tile_wire_bytes()
+            hooks = [self._wrap_hook(
+                self._put_hook(ctx, d, wire_bytes, api_latency,
+                               pending_by_dst),
+                d, rank, ctx, remaining, pending_by_dst)
+                for d in range(world)]
             tasks = []
-            for task_id, pos in enumerate(
-                    (i, j) for i in range(grid[0]) for j in range(grid[1])):
-                meta = meta_fn(pos)
-                meta["grid_pos"] = pos
-
-                def hook(slot_ctx, task, dst=meta["dest"]):
-                    if slot_ctx.trace.enabled:
-                        slot_ctx.record("put_issue", dest=dst)
-                    ev = ctx.put_bytes(dst, cfg.tile_wire_bytes())
-                    pending_by_dst.setdefault(dst, []).append(ev)
-                    yield slot_ctx.charge(spec.shmem_api_latency)
-
-                tasks.append(WgTask(task_id=task_id,
-                                    cost=self._tile_cost(meta["remote"]),
-                                    meta=meta, on_complete=hook))
-
-        # Per-destination completion counting (the WG_Done bitmask role):
-        # when the last tile for dest d has issued its put, chain a fenced
-        # tileRdy signal behind the outstanding puts to d.
-        for t in tasks:
-            t.on_complete = self._wrap_hook(t.on_complete, t.meta["dest"],
-                                            rank, ctx, remaining,
-                                            pending_by_dst)
+            for i in range(grid[0]):
+                dst = (i * cfg.block_m) // tps
+                remote = dst != rank
+                for j in range(grid[1]):
+                    tasks.append(WgTask(
+                        task_id=len(tasks), cost=costs[remote],
+                        meta={"remote": remote, "dest": dst,
+                              "grid_pos": (i, j)},
+                        on_complete=hooks[dst]))
         return get_scheduler(cfg.scheduler)(tasks)
+
+    @staticmethod
+    def _put_hook(ctx, dst, wire_bytes, api_latency, pending_by_dst):
+        def hook(slot_ctx, task):
+            if slot_ctx.trace.enabled:
+                slot_ctx.record("put_issue", dest=dst)
+            ev = ctx.put_bytes(dst, wire_bytes)
+            pending_by_dst.setdefault(dst, []).append(ev)
+            yield slot_ctx.charge(api_latency)
+
+        return hook
 
     def _wrap_hook(self, inner, dest, rank, ctx, remaining, pending_by_dst):
         def hook(slot_ctx, task):

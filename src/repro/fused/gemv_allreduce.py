@@ -159,12 +159,12 @@ class FusedGemvAllReduce:
         transfers: Dict[int, list] = {o: [] for o in range(world)}
         tasks: List[WgTask] = []
         task_id = 0
+        tiles = split_tiles(chunk, cfg.tile_rows)
 
         # Phase A — compute all tiles (natural order: tile-index order).
         for owner in range(world):
-            tiles = split_tiles(chunk, cfg.tile_rows)
+            remote = owner != rank
             for i, (t0, t1) in enumerate(tiles):
-                remote = owner != rank
                 last_of_owner = i == len(tiles) - 1
                 tasks.append(WgTask(
                     task_id=task_id,
@@ -178,14 +178,23 @@ class FusedGemvAllReduce:
 
         # Phase B — reduce my chunk and broadcast (runs after phase A in
         # queue order; flags enforce cross-GPU correctness).
+        # The reduce itself is charged inside the hook; tiles of equal
+        # height share one reduce cost.
         final_transfers: Dict[int, list] = {d: [] for d in range(world)}
-        tiles = split_tiles(chunk, cfg.tile_rows)
+        free = WgCost()
+        reduce_costs: Dict[int, WgCost] = {}
         for i, (t0, t1) in enumerate(tiles):
+            reduce_cost = reduce_costs.get(t1 - t0)
+            if reduce_cost is None:
+                reduce_cost = reduce_costs[t1 - t0] = WgCost(
+                    flops=float((world - 1) * (t1 - t0)),
+                    bytes=float((world + 1) * (t1 - t0) * cfg.itemsize),
+                    dtype="fp32")
             tasks.append(WgTask(
-                task_id=task_id, cost=WgCost(),
+                task_id=task_id, cost=free,
                 meta={"remote": False, "owner": rank, "phase": "B"},
                 on_complete=self._make_reduce_hook(
-                    ctx, rank, t0, t1, final_transfers,
+                    ctx, rank, t0, t1, reduce_cost, final_transfers,
                     last=(i == len(tiles) - 1))))
             task_id += 1
 
@@ -231,14 +240,11 @@ class FusedGemvAllReduce:
 
         return hook
 
-    def _make_reduce_hook(self, ctx, rank, t0, t1, final_transfers, last):
+    def _make_reduce_hook(self, ctx, rank, t0, t1, reduce_cost,
+                          final_transfers, last):
         cfg, world = self.cfg, self.world
         chunk = cfg.chunk_rows(world)
         itemsize = cfg.itemsize
-        reduce_cost = WgCost(
-            flops=float((world - 1) * (t1 - t0)),
-            bytes=float((world + 1) * (t1 - t0) * itemsize),
-            dtype="fp32")
 
         def hook(slot_ctx, task):
             # Wait for every source's contribution to my chunk.

@@ -9,6 +9,8 @@ these tasks onto a fixed number of long-running *physical* WGs
 A task carries:
 
 * ``cost`` — the roofline cost of one logical WG (FLOPs + HBM bytes),
+* ``meta`` — tags such as ``remote`` and ``dest`` that schedulers and
+  traces read,
 * ``compute`` — optional functional effect (NumPy) applied when the task
   executes, so operators are numerically verifiable,
 * ``on_complete`` — optional hook (generator) run by the executing physical
@@ -16,6 +18,10 @@ A task carries:
   kernels issue their non-blocking PUTs, set WG-done bits, and wait on
   flags.  Yielding events inside the hook blocks *that physical WG only* —
   exactly the paper's execution model.
+
+``cost`` and ``meta`` are read-only once a task is built, so operators
+share one cost object among tasks of equal cost and one ``meta`` dict among
+tasks with equal tags (the hook-free pieces of an embedding slice).
 """
 
 from __future__ import annotations
@@ -31,7 +37,11 @@ __all__ = ["WgTask", "SlotContext"]
 
 @dataclass(slots=True)
 class WgTask:
-    """One schedulable unit of a kernel (a logical WG or WG-cluster)."""
+    """One schedulable unit of a kernel (a logical WG or WG-cluster).
+
+    ``cost`` and ``meta`` are read-only once the task is built: tasks may
+    share them (the task loop memoizes durations by ``id(cost)``).
+    """
 
     task_id: int
     cost: WgCost
