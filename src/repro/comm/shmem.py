@@ -17,7 +17,10 @@ against:
 * :meth:`FlagArray.wait_all` — poll a whole subset of flags (a persistent
   WG's share of ``sliceRdy``) with one event that fires once, when the
   last flag lands, instead of one wake per flag.  It resumes the waiter
-  at the same simulated time as polling the flags one by one.
+  at the same simulated time as polling the flags one by one.  Identical
+  pending waits (every WG of a launch polling the same ``tileRdy`` row)
+  share one countdown and one event; see :meth:`FlagArray.wait_all` for
+  why that changes no result and no event order.
 
 Functional data movement happens eagerly (NumPy copies) while the *timing*
 of visibility is carried by events — consumers must gate on flags, exactly
@@ -69,6 +72,9 @@ class FlagArray:
         self._values = [[0] * n_flags for _ in range(world_size)]
         # Waiters per flag: (wanted value, Event or _Countdown).
         self._waiters: Dict[Tuple[int, int], List[Tuple[int, Any]]] = {}
+        # Newest countdown per (rank, value, pending flags): what an
+        # identical wait_all may join.
+        self._joins: Dict[Tuple[int, int, Tuple[int, ...]], _Countdown] = {}
 
     def read(self, rank: int, idx: int) -> int:
         return self._values[rank][idx]
@@ -100,18 +106,50 @@ class FlagArray:
     def wait_all(self, rank: int, idxs: Iterable[int],
                  value: int = 1) -> Event:
         """Event that fires once every flag in ``idxs`` on ``rank`` has
-        reached ``value``: when the last one lands, or now if all have."""
-        ev = self.sim.event()
+        reached ``value``: when the last one lands, or now if all have.
+
+        A pending wait *joins* an earlier one — gets its event back, so the
+        caller's callback is appended to that event — when both have the
+        same ``rank``, ``value`` and pending flags, the earlier countdown is
+        still the newest waiter on each of those flags, and none of them
+        has landed since.  That is exact:
+
+        * Unjoined, the two countdowns sit next to each other in every
+          flag's waiter list, so they reach zero inside one :meth:`set`,
+          one right after the other, and their events get consecutive
+          seqs at one timestamp.
+        * Whatever their callbacks schedule draws a later seq, so the
+          engine processes those events back to back.  One event runs the
+          same callbacks in the same order, at the first event's position.
+        * Dropping the other seq draws keeps the relative order of every
+          remaining draw.
+
+        This holds for slots of the kernel task loop and for the processes
+        of the ``REPRO_SIM_FASTPATH=0`` reference alike, since both add
+        their callback as soon as they yield the event.  It assumes no
+        callback interrupts a process (:meth:`~repro.sim.Process.interrupt`
+        schedules the engine's only urgent events); the library never does.
+        """
         vals = self._values[rank]
-        pending = [i for i in idxs if vals[i] < value]
+        pending = tuple(i for i in idxs if vals[i] < value)
         if not pending:
+            ev = self.sim.event()
             ev.succeed()
             return ev
-        countdown = _Countdown(ev, len(pending))
         waiters = self._waiters
+        key = (rank, value, pending)
+        countdown = self._joins.get(key)
+        if countdown is not None and countdown.left == len(pending):
+            for i in pending:
+                if waiters[(rank, i)][-1][1] is not countdown:
+                    break
+            else:
+                return countdown.event
+        countdown = self._joins[key] = _Countdown(self.sim.event(),
+                                                  len(pending))
         for i in pending:
             waiters.setdefault((rank, i), []).append((value, countdown))
-        return ev
+        return countdown.event
 
     def all_set(self, rank: int, value: int = 1) -> bool:
         return all(v >= value for v in self._values[rank])
@@ -119,6 +157,7 @@ class FlagArray:
     def reset(self) -> None:
         if self._waiters:
             raise RuntimeError(f"reset of {self.name!r} with pending waiters")
+        self._joins.clear()
         for row in self._values:
             row[:] = [0] * len(row)
 

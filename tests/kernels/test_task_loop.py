@@ -20,10 +20,12 @@ from repro.kernels import PersistentKernel, WgTask
 from repro.sim import FairShareLink, Simulator
 
 N_FLAGS = 24
+BCAST = range(0, N_FLAGS, 4)
 
 
 def _stress(seed, step_checked=False, horizon=None):
-    """Two concurrent launches whose hooks wait on randomly set flags.
+    """Two concurrent launches whose hooks wait on randomly set flags,
+    some all on one shared set (identical waits that join).
 
     Returns every slot's epilogue entry (launch, slot, time) in the order
     the slots reached it, plus each hook's resume (launch, task, time).
@@ -46,6 +48,10 @@ def _stress(seed, step_checked=False, horizon=None):
                     yield ctx.charge(0.0)
                 elif kind == "all":
                     yield flags.wait_all(0, idxs)
+                elif kind == "bcast":
+                    # Every bcast hook polls the same flags: identical
+                    # waits that share one event.
+                    yield flags.wait_all(0, BCAST)
                 elif kind == "charge":
                     yield ctx.charge(0.0)
                     yield ctx.charge(1e-6)
@@ -57,7 +63,8 @@ def _stress(seed, step_checked=False, horizon=None):
 
         tasks = []
         for i in range(rng.randrange(40, 80)):
-            kind = rng.choice(["none", "flag", "all", "charge", "set"])
+            kind = rng.choice(["none", "flag", "all", "bcast", "charge",
+                               "set"])
             idxs = rng.sample(range(N_FLAGS), rng.randrange(1, 4))
             tasks.append(WgTask(
                 task_id=i, cost=rng.choice(costs),
