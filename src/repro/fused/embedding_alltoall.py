@@ -237,18 +237,15 @@ class FusedEmbeddingAllToAll:
             for s in range(n_s):
                 for t in range(cfg.tables_per_gpu):
                     # A slice's hook-free leading pieces share one meta.
-                    if tasks_per_slice > 1:
-                        meta = {"remote": remote, "dest": d, "table": t,
-                                "slice": s, "last": False}
-                        for _ in range(tasks_per_slice - 1):
-                            tasks.append(WgTask(
-                                task_id=task_id, cost=cost, repeat=repeat,
-                                meta=meta))
-                            task_id += 1
+                    meta = {"remote": remote, "dest": d, "table": t,
+                            "slice": s, "last": False}
+                    for _ in range(tasks_per_slice - 1):
+                        tasks.append(WgTask(task_id=task_id, cost=cost,
+                                            repeat=repeat, meta=meta))
+                        task_id += 1
                     tasks.append(WgTask(
                         task_id=task_id, cost=cost, repeat=repeat,
-                        meta={"remote": remote, "dest": d, "table": t,
-                              "slice": s, "last": True},
+                        meta=dict(meta, last=True),
                         compute=(self._make_compute(rank, d, t, s)
                                  if cfg.functional else None),
                         on_complete=self._make_hook(ctx, rank, d, t, s)))

@@ -209,11 +209,11 @@ class FusedGemmAllToAll:
         # Only two tile costs exist; every task shares one of them.
         costs = {remote: self._tile_cost(remote) for remote in (False, True)}
 
-        def meta_fn(pos):
-            dst = (pos[0] * cfg.block_m) // tps
-            return {"remote": dst != rank, "dest": dst}
-
         if cfg.functional:
+            def meta_fn(pos):
+                dst = (pos[0] * cfg.block_m) // tps
+                return {"remote": dst != rank, "dest": dst}
+
             # View of the destination layout for put_tile indexing: each
             # dest d's buffer is out.local(d)[d] -> (world, tps, ffn).
             out_view = _DestView(self.out)

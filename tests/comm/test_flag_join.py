@@ -13,8 +13,8 @@ and the slots of a persistent kernel.
 import random
 
 import pytest
-from oracles import flag_wait_all_legacy
 
+from oracles import flag_wait_all_legacy
 from repro.comm.shmem import FlagArray
 from repro.fused.base import fused_kernel_resources
 from repro.hw.gpu import Gpu, WgCost

@@ -12,7 +12,8 @@ here.
 ``data/golden_des_counters.json`` holds, for the same scenarios in the same
 order, every counter and gauge the run-metrics registry records in a run
 with a fresh registry (events processed, heap peak, kernel launches and
-tasks, ``auto`` collective picks).  Timers are left out.
+tasks, SHMEM puts, fabric transfers, ``auto`` collective picks).  Timers
+are left out.
 The replay compares them exactly, so a change that adds or removes engine
 events or kernel tasks shows up here even when every result stays put.
 
