@@ -16,7 +16,6 @@ import pathlib
 from repro.bench.perf import time_call, write_bench_report
 from repro.experiments import run_sweep
 from repro.experiments.figures import fig9_sweep
-from repro.fused.base import baseline_kernel_resources
 from repro.hw.gpu import Gpu, WgCost
 from repro.hw.platform import get_platform
 from repro.kernels import PersistentKernel, make_uniform_tasks
@@ -78,8 +77,7 @@ def _kernel_wgs_per_sec() -> float:
         sim = Simulator()
         gpu = Gpu(sim, BENCH_PLATFORM.gpu, gpu_id=0)
         tasks = make_uniform_tasks(N_TASKS, WgCost(bytes=4096.0))
-        kern = PersistentKernel(gpu, baseline_kernel_resources(gpu.spec),
-                                tasks)
+        kern = PersistentKernel(gpu, gpu.base_res, tasks)
         kern.launch()
         return sim
 

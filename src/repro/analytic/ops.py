@@ -8,6 +8,14 @@ NumPy columns over a scenario axis: every form is written once against
 :mod:`repro.utils.xp`, and :mod:`repro.analytic.batch` calls these same
 functions with columns.
 
+Each fused operator's geometry and costs — tasks per slice, task costs,
+the Fig. 13 occupancy limit — come from the operator's plan in
+:mod:`repro.fused` (``embedding_a2a_plan`` and its siblings), evaluated
+on the platform's :class:`~repro.analytic.DeviceModel`: the DES builds
+its tasks from the same plan, so no decision is written twice.  Baseline
+tile costs and All-to-All chunk sizes are config methods, shared the
+same way.
+
 Model structure (per fused operator):
 
 * **Compute span** — the persistent kernel's task queue evaluated in
@@ -33,29 +41,22 @@ lives in the fused-kernel queue/drain terms and is quantified by
 
 from __future__ import annotations
 
-import math
 from typing import Any, Dict, Optional
 
-import numpy as np
-
-from ..fused.embedding_alltoall import ITEMSIZE, EmbeddingA2AConfig
-from ..fused.embedding_grad_alltoall import _scatter_cost
-from ..fused.gemm_alltoall import GemmA2AConfig
-from ..fused.gemv_allreduce import GemvAllReduceConfig
-from ..hw.gpu import (
-    WgCost,
-    bulk_kernel_time,
-    persistent_occupancy,
-    task_time,
-    wg_time,
+from ..fused.embedding_alltoall import (
+    ITEMSIZE,
+    EmbeddingA2AConfig,
+    embedding_a2a_plan,
 )
+from ..fused.embedding_grad_alltoall import _scatter_cost, embedding_grad_plan
+from ..fused.gemm_alltoall import GemmA2AConfig, gemm_a2a_plan
+from ..fused.gemv_allreduce import GemvAllReduceConfig, gemv_allreduce_plan
+from ..hw.gpu import bulk_kernel_time, persistent_occupancy, task_time, wg_time
 from ..hw.platform import PlatformLike, get_platform
 from ..ops.embedding import embedding_wg_cost
-from ..ops.gemm import gemm_wg_cost
-from ..ops.gemv import gemv_wg_cost
 from ..utils.xp import xp_of
 from .comm import FLAG_BYTES, CommModel
-from .device import DeviceModel, device_model
+from .device import device_model
 
 __all__ = [
     "predict_embedding_a2a",
@@ -71,52 +72,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Shared fused-kernel machinery
 # ---------------------------------------------------------------------------
-
-def _tasks_per_slice(d: DeviceModel, cfg: EmbeddingA2AConfig, world: int):
-    """Mirror of ``FusedEmbeddingAllToAll._tasks_per_slice`` (auto split):
-    the first divisor in ``(1, 2, 4, 8, 16, 32)`` meeting the 8-rounds
-    target, per scenario over a column."""
-    n_slices = world * cfg.tables_per_gpu * cfg.slices_per_stripe(world)
-    if isinstance(n_slices, np.ndarray):
-        tps = np.broadcast_to(cfg.tasks_per_slice, n_slices.shape)
-        sv = np.broadcast_to(cfg.slice_vectors, n_slices.shape)
-        slots = np.minimum(d.occupancy(d.fused_res).resident_wgs, n_slices)
-        target = np.ceil(8 * slots / n_slices)
-        out = np.where(tps != 0, tps, sv)
-        resolved = tps != 0
-        for div in (1, 2, 4, 8, 16, 32):
-            take = ~resolved & (div >= target) & (sv % div == 0)
-            out[take] = div
-            resolved |= take
-        return out
-    if cfg.tasks_per_slice:
-        return cfg.tasks_per_slice
-    occ = d.occupancy(d.fused_res)
-    slots = min(occ.resident_wgs, n_slices)
-    target = math.ceil(8 * slots / n_slices)
-    for div in (1, 2, 4, 8, 16, 32):
-        if div >= target and cfg.slice_vectors % div == 0:
-            return div
-    return cfg.slice_vectors
-
-
-def _occupancy_limit(d: DeviceModel, frac):
-    """Mirror of ``_kernel_occupancy_limit``: the Fig. 13 knob converts a
-    fraction of *baseline* occupancy into the fused kernel's own limit.
-    ``None`` means no limit; so does NaN in a column (it passes through)."""
-    if frac is None:
-        return None
-    base = d.occupancy(d.base_res).resident_wgs
-    fused = d.occupancy(d.fused_res).resident_wgs
-    limit = frac * base / fused
-    xp = xp_of(limit)
-    bad = limit > 1.0 + 1e-9        # NaN compares False
-    if xp.any(bad):
-        raise ValueError(
-            f"occupancy {xp.first(frac, bad)} of baseline exceeds the fused "
-            f"kernel's maximum ({fused / base:.3f} of baseline)")
-    return xp.minimum(limit, 1.0)
-
 
 def _overlap_finish(compute_end, first_issue, last_issue, drain, tail):
     """Completion time of an overlapped put stream: the channel drains from
@@ -163,21 +118,17 @@ def _embedding_fused_time(num_nodes: int, gpus_per_node: int,
 
     T = cfg.tables_per_gpu
     n_s = cfg.slices_per_stripe(world)
-    tps = _tasks_per_slice(d, cfg, world)
-    repeat = cfg.slice_vectors // tps
+    plan = embedding_a2a_plan(d, cfg, world)
+    tps = plan.tasks_per_slice
     per_dest_tasks = T * n_s * tps
     n_tasks = world * per_dest_tasks
 
-    occ = persistent_occupancy(
-        d, d.fused_res, n_tasks,
-        occupancy_limit=_occupancy_limit(d, cfg.occupancy_of_baseline))
+    occ = persistent_occupancy(d, d.fused_res, n_tasks,
+                               occupancy_limit=plan.occupancy_limit)
     slots = d.n_slots(occ, n_tasks)
 
-    base_cost = embedding_wg_cost(cfg.pooling, cfg.dim, ITEMSIZE).plus(
-        fixed=spec.flag_op_latency)
-    zc_cost = base_cost.with_bytes(base_cost.bytes - cfg.dim * ITEMSIZE)
-    dur_base = task_time(d, base_cost, occ, repeat)
-    dur_zc = task_time(d, zc_cost, occ, repeat)
+    dur_base = task_time(d, plan.cost, occ, plan.repeat)
+    dur_zc = task_time(d, plan.zc_cost, occ, plan.repeat)
     # Destination classes as seen from any rank (the topology is symmetric).
     same_node_remote = gpus_per_node - 1
     other_node = world - gpus_per_node
@@ -244,9 +195,7 @@ def _embedding_baseline_time(num_nodes: int, gpus_per_node: int,
     cost = embedding_wg_cost(cfg.pooling, cfg.dim, ITEMSIZE)
     compute = cfg.tables_per_gpu * bulk_kernel_time(
         d, cfg.global_batch, cost, d.base_res)
-    chunk = xp_of(cfg.global_batch, cfg.tables_per_gpu, cfg.dim).asfloat(
-        cfg.local_batch(world) * cfg.tables_per_gpu * cfg.dim * ITEMSIZE)
-    return compute + cm.alltoall_time(chunk, algo=cfg.algo)
+    return compute + cm.alltoall_time(cfg.chunk_bytes(world), algo=cfg.algo)
 
 
 def predict_embedding_a2a(num_nodes: int, gpus_per_node: int,
@@ -311,13 +260,12 @@ def predict_embedding_grad_a2a(num_nodes: int = 2, gpus_per_node: int = 1,
 
     occ = persistent_occupancy(d, d.fused_res, 2 * n_send, n_work=n_send)
     slots = d.n_slots(occ, 2 * n_send)
-    send_cost = WgCost(bytes=slice_bytes, dtype="fp32",
-                       fixed=spec.flag_op_latency)
-    send_dur = task_time(d, send_cost, occ)
+    plan = embedding_grad_plan(d, cfg, world)
+    send_dur = task_time(d, plan.send_cost, occ)
     n_remote = (world - 1) * T * n_s
     send_total = n_send * send_dur + n_remote * spec.shmem_api_latency
 
-    apply_dur = wg_time(d, _scatter_cost(cfg, cfg.slice_vectors), occ)
+    apply_dur = wg_time(d, plan.apply_cost, occ)
     apply_total = n_send * (spec.wg_dispatch_overhead + apply_dur)
 
     launch = spec.kernel_launch_overhead
@@ -340,8 +288,7 @@ def predict_embedding_grad_a2a(num_nodes: int = 2, gpus_per_node: int = 1,
                         arrival + spec.wg_dispatch_overhead + apply_dur)
 
     # Baseline: All-to-All kernel, then a bulk scatter-add kernel.
-    chunk = xp.asfloat(cfg.local_batch(world) * T * cfg.dim * ITEMSIZE)
-    baseline = (cm.alltoall_time(chunk, algo=cfg.algo)
+    baseline = (cm.alltoall_time(cfg.chunk_bytes(world), algo=cfg.algo)
                 + bulk_kernel_time(d, cfg.global_batch * T,
                                    _scatter_cost(cfg, 1), d.base_res))
     return {"fused_time": finish, "baseline_time": baseline}
@@ -370,14 +317,10 @@ def predict_gemv_allreduce(world: int = 4, platform: PlatformLike = None,
 
     occ = persistent_occupancy(d, d.fused_res, n_a + n_b, n_work=n_a)
     slots = d.n_slots(occ, n_a + n_b)
-    base_cost = gemv_wg_cost(cfg.tile_rows, cfg.n_per_gpu, cfg.itemsize)
-    base_cost = WgCost(base_cost.flops, base_cost.bytes, cfg.flop_dtype,
-                       spec.flag_op_latency, base_cost.access)
-    zc_cost = base_cost.with_bytes(base_cost.bytes
-                                   - cfg.tile_rows * cfg.itemsize)
+    plan = gemv_allreduce_plan(d, cfg, world)
     t_a = _queue_span(
-        tiles_per_owner * (task_time(d, base_cost, occ)
-                           + (world - 1) * task_time(d, zc_cost, occ)),
+        tiles_per_owner * (task_time(d, plan.cost, occ)
+                           + (world - 1) * task_time(d, plan.zc_cost, occ)),
         n_a, slots)
     launch = spec.kernel_launch_overhead
     # Every owner's partialRdy: the last streamed tile plus its chained
@@ -385,11 +328,7 @@ def predict_gemv_allreduce(world: int = 4, platform: PlatformLike = None,
     partial_ready = launch + t_a + cm.signal_tail(tile_bytes,
                                                   remote_node=False)
 
-    reduce_cost = WgCost(flops=xp.asfloat((world - 1) * cfg.tile_rows),
-                         bytes=xp.asfloat((world + 1) * cfg.tile_rows
-                                          * cfg.itemsize),
-                         dtype="fp32")
-    reduce_dur = wg_time(d, reduce_cost, occ)
+    reduce_dur = wg_time(d, plan.reduce_cost, occ)
     rounds_b = xp.ceil(n_b / slots)
     t_b = rounds_b * (spec.wg_dispatch_overhead + reduce_dur)
     # All-gather phase: each owner streams its reduced chunk to every peer
@@ -399,9 +338,7 @@ def predict_gemv_allreduce(world: int = 4, platform: PlatformLike = None,
              + cm.signal_tail(tile_bytes, remote_node=False))
 
     # Baseline: bulk GEMV kernel, then RCCL-like direct AllReduce.
-    bulk_cost = gemv_wg_cost(cfg.tile_rows, cfg.n_per_gpu, cfg.itemsize)
-    bulk_cost = WgCost(bulk_cost.flops, bulk_cost.bytes, cfg.flop_dtype, 0.0)
-    baseline = (bulk_kernel_time(d, cfg.m // cfg.tile_rows, bulk_cost,
+    baseline = (bulk_kernel_time(d, cfg.m // cfg.tile_rows, cfg.tile_cost(),
                                  d.base_res)
                 + cm.allreduce_time(xp.asfloat(cfg.m * cfg.itemsize), cfg.m,
                                     itemsize=cfg.itemsize,
@@ -431,13 +368,9 @@ def predict_gemm_a2a(world: int = 4, platform: PlatformLike = None,
 
     occ = persistent_occupancy(d, d.fused_res, n_tasks)
     slots = d.n_slots(occ, n_tasks)
-    base_cost = gemm_wg_cost(cfg.block_m, cfg.block_n, cfg.model_dim,
-                             itemsize=cfg.itemsize,
-                             dtype=cfg.flop_dtype).plus(
-        fixed=spec.flag_op_latency)
-    zc_cost = base_cost.with_bytes(base_cost.bytes - tile_wire)
-    dur_base = task_time(d, base_cost, occ)
-    dur_zc = task_time(d, zc_cost, occ)
+    plan = gemm_a2a_plan(d, cfg, world)
+    dur_base = task_time(d, plan.cost, occ)
+    dur_zc = task_time(d, plan.zc_cost, occ)
     # Every tile's hook issues a put (self-puts are free but still charge
     # the API latency to the issuing WG).
     remote_compute = ((world - 1) * tiles_per_dest
@@ -456,13 +389,8 @@ def predict_gemm_a2a(world: int = 4, platform: PlatformLike = None,
     fused = _overlap_finish(compute_end, first_issue, last_issue, drain,
                             cm.signal_tail(tile_wire, remote_node=False))
 
-    bulk_cost = gemm_wg_cost(cfg.block_m, cfg.block_n, cfg.model_dim,
-                             itemsize=cfg.itemsize, dtype=cfg.flop_dtype)
-    tps = cfg.tokens_per_src(world)
-    chunk = xp_of(tps, cfg.ffn_dim, cfg.itemsize).asfloat(
-        tps * cfg.ffn_dim * cfg.itemsize)
-    baseline = (bulk_kernel_time(d, n_tasks, bulk_cost, d.base_res)
-                + cm.alltoall_time(chunk, algo=cfg.algo))
+    baseline = (bulk_kernel_time(d, n_tasks, cfg.tile_cost(), d.base_res)
+                + cm.alltoall_time(cfg.chunk_bytes(world), algo=cfg.algo))
     return {"fused_time": fused, "baseline_time": baseline}
 
 

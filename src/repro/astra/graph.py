@@ -16,7 +16,7 @@ execution graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 __all__ = ["GraphNode", "ExecutionGraph"]

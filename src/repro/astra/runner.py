@@ -13,7 +13,6 @@ from typing import Dict, List, Optional, Tuple
 from ..hw.platform import PlatformLike
 from ..models.configs import TABLE2_DLRM, TABLE2_TORUS, DlrmModelConfig, \
     TorusNetworkConfig
-from .graph import ExecutionGraph
 from .network import TorusNetwork
 from .workloads import build_dlrm_graph, compute_kernel_times
 

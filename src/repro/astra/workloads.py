@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..fused.base import baseline_kernel_resources, fused_kernel_resources
 from ..hw.gpu import Gpu, bulk_kernel_time, task_time
 from ..hw.platform import PlatformLike, get_platform
 from ..models.configs import DlrmModelConfig
@@ -98,13 +97,12 @@ def compute_kernel_times(model: DlrmModelConfig, network: TorusNetwork,
     # Embedding pooling (model parallel: global batch x local tables).
     n_vectors = global_batch * tables_here
     cost = embedding_wg_cost(model.avg_pooling, model.embedding_dim)
-    embed_fwd = bulk_kernel_time(gpu, n_vectors, cost,
-                                 baseline_kernel_resources(gpu.spec))
+    embed_fwd = bulk_kernel_time(gpu, n_vectors, cost, gpu.base_res)
     # Fused kernel: same pooling at the fused footprint's derived occupancy
     # (87.5% on the calibrated MI210 — the paper's register-pressure loss —
     # and whatever the register-file geometry yields elsewhere), single
     # launch.
-    fused_occ = gpu.occupancy(fused_kernel_resources(gpu.spec))
+    fused_occ = gpu.occupancy(gpu.fused_res)
     rounds = max(1.0, n_vectors / fused_occ.resident_wgs)
     embed_fused_fwd = (gpu.spec.kernel_launch_overhead
                        + task_time(gpu, cost, fused_occ, rounds))

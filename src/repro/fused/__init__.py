@@ -1,11 +1,6 @@
 """The paper's fused computation-collective operators."""
 
-from .base import (
-    OpHarness,
-    OpResult,
-    baseline_kernel_resources,
-    fused_kernel_resources,
-)
+from .base import OpHarness, OpResult
 from .embedding_alltoall import (
     BaselineEmbeddingAllToAll,
     EmbeddingA2AConfig,
@@ -40,6 +35,4 @@ __all__ = [
     "GemvAllReduceConfig",
     "OpHarness",
     "OpResult",
-    "baseline_kernel_resources",
-    "fused_kernel_resources",
 ]

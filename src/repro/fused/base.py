@@ -15,64 +15,67 @@ In *timing-only* mode (``functional=False``) the NumPy payloads are skipped
 so paper-scale configurations run quickly; all simulated-time behaviour is
 unchanged.
 
-Each operator also has a closed-form *analytic* twin
-(:mod:`repro.analytic.ops`) predicting the same elapsed times without the
-event loop — thousands of scenarios per second for design-space sweeps,
-held to an accuracy budget against these simulated operators by
-``python -m repro validate``.
+Each fused operator's geometry and costs are written once, as a plan: a
+``*_plan(device, cfg, world)`` function beside the operator's config
+that returns a NamedTuple of what both engines read (tasks per slice,
+task costs, the Fig. 13 occupancy limit, ...).  The DES builds each
+rank's tasks from the plan of that rank's :class:`~repro.hw.gpu.Gpu`;
+the closed-form *analytic* twin (:mod:`repro.analytic.ops`) reads the
+plan of a platform's :class:`~repro.analytic.DeviceModel` and predicts
+the same elapsed times without the event loop — thousands of scenarios
+per second for design-space sweeps, held to an accuracy budget against
+these simulated operators by ``python -m repro validate``.  Plans are
+written against :mod:`repro.utils.xp`, so config fields may be columns.
+
+:func:`run_fused_kernels` launches the per-rank persistent kernels of
+every fused operator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..comm.runtime import Communicator
-from ..hw.gpu import GpuSpec, KernelResources
-from ..hw.platform import (
-    Platform,
-    PlatformLike,
-    derived_baseline_resources,
-    derived_fused_resources,
-    get_platform,
-)
+from ..hw.platform import Platform, PlatformLike, get_platform
 from ..hw.topology import Cluster
+from ..kernels import PersistentKernel
 from ..obs.capture import harness_trace
 from ..obs.metrics import get_metrics
 from ..sim import Simulator, TraceRecorder
 
-__all__ = ["OpResult", "OpHarness", "fused_kernel_resources",
-           "baseline_kernel_resources"]
+__all__ = ["OpResult", "OpHarness", "run_fused_kernels"]
 
 
-def baseline_kernel_resources(
-        spec: Optional[GpuSpec] = None) -> KernelResources:
-    """Resource descriptor of a baseline (non-communicating) kernel.
+def run_fused_kernels(op, name: str, **per_rank: Callable[[int], Any]):
+    """Run one fused persistent kernel per rank of ``op`` to completion.
 
-    Derived from the device's occupancy model (see
-    :mod:`repro.hw.platform`): 256-thread WGs at the largest VGPR budget
-    that still fills every wave slot.  ``spec`` defaults to the calibrated
-    default platform's GPU.
+    Every rank's kernel (``{name}[{rank}]``, tasks from
+    ``op._build_tasks(rank)``, further :class:`PersistentKernel` keywords
+    from the ``per_rank`` functions of the rank) is built before any
+    starts; then the processes ``rank{r}`` start in rank order, and
+    ``op.stats["rank_end_times"]`` records when each kernel returns.
+    A generator for the operator's ``run()``; returns the kernels.
     """
-    if spec is None:
-        spec = get_platform().gpu
-    return derived_baseline_resources(spec)
+    sim = op.sim
+    end_times = op.stats["rank_end_times"] = {}
+    kernels = []
+    for r in range(op.world):
+        gpu = op.cluster.gpu(r)
+        kernels.append(PersistentKernel(
+            gpu, gpu.fused_res, op._build_tasks(r), name=f"{name}[{r}]",
+            trace=op.harness.trace,
+            **{key: fn(r) for key, fn in per_rank.items()}))
 
+    def rank_proc(r, kern):
+        yield from kern.run()
+        end_times[r] = sim.now
 
-def fused_kernel_resources(spec: Optional[GpuSpec] = None) -> KernelResources:
-    """Resource descriptor of a fused kernel (extra comm registers).
-
-    The communication state costs :data:`repro.hw.platform.COMM_VGPRS`
-    registers/thread on every device; what occupancy that buys depends on
-    the device's register-file geometry — 87.5% on the calibrated MI210
-    (the paper's reported 12.5% loss, Section III-C), and correspondingly
-    different on other platforms.
-    """
-    if spec is None:
-        spec = get_platform().gpu
-    return derived_fused_resources(spec)
+    yield sim.all_of([sim.process(rank_proc(r, k), name=f"rank{r}")
+                      for r, k in enumerate(kernels)])
+    return kernels
 
 
 @dataclass

@@ -31,25 +31,21 @@ wins at small global batch sizes (Fig. 12).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, NamedTuple, Optional
 
 import numpy as np
 
 from ..comm.shmem import FlagArray
-from ..hw.gpu import bulk_kernel_time
-from ..kernels import PersistentKernel, WgTask, get_scheduler
+from ..hw.gpu import WgCost, bulk_kernel_time
+from ..kernels import WgTask, get_scheduler
 from ..ops.embedding import embedding_pooling, embedding_wg_cost
 from ..utils.xp import xp_of
-from .base import (
-    OpHarness,
-    baseline_kernel_resources,
-    fused_kernel_resources,
-)
+from .base import OpHarness, run_fused_kernels
 
-__all__ = ["EmbeddingA2AConfig", "FusedEmbeddingAllToAll",
-           "BaselineEmbeddingAllToAll", "make_embedding_inputs"]
+__all__ = ["EmbeddingA2AConfig", "EmbeddingA2APlan", "embedding_a2a_plan",
+           "FusedEmbeddingAllToAll", "BaselineEmbeddingAllToAll",
+           "make_embedding_inputs"]
 
 ITEMSIZE = 4  # fp32 embeddings throughout, as in the public DLRM code
 
@@ -116,9 +112,80 @@ class EmbeddingA2AConfig:
         return xp_of(self.slice_vectors, self.dim).asfloat(
             self.slice_vectors * self.dim * ITEMSIZE)
 
+    def chunk_bytes(self, world: int) -> float:
+        """Bytes each rank sends each peer in the baseline All-to-All: its
+        pooled vectors of every table for one batch shard."""
+        return xp_of(self.global_batch, self.tables_per_gpu, self.dim).asfloat(
+            self.local_batch(world) * self.tables_per_gpu * self.dim
+            * ITEMSIZE)
+
     @property
     def label(self) -> str:
         return f"{self.global_batch}|{self.tables_per_gpu}"
+
+
+class EmbeddingA2APlan(NamedTuple):
+    """One rank's fused embedding kernel, as both engines read it."""
+
+    tasks_per_slice: Any        #: logical WGs per slice (auto resolved)
+    repeat: Any                 #: pooled vectors per logical WG
+    cost: WgCost                #: one pooled vector + WG_Done bookkeeping
+    zc_cost: WgCost             #: the same, minus the local output write
+    #: The Fig. 13 knob as a fraction of the fused kernel's own occupancy;
+    #: ``None`` (NaN in a column) means no limit.
+    occupancy_limit: Any
+
+
+def embedding_a2a_plan(device, cfg: EmbeddingA2AConfig,
+                       world: int) -> EmbeddingA2APlan:
+    """The fused embedding kernel's plan on ``device`` (a simulated
+    :class:`~repro.hw.gpu.Gpu` or an analytic ``DeviceModel``).
+
+    ``tasks_per_slice == 0`` (auto) splits slices just enough that the
+    task count comfortably exceeds the persistent-WG count — otherwise
+    coarse tasks quantize the tail of the kernel into idle rounds that
+    real logical-WG-granular hardware scheduling would not have: the first
+    divisor in ``(1, 2, 4, 8, 16, 32)`` of ``slice_vectors`` meeting an
+    8-rounds target, else one task per vector.  ``occupancy_of_baseline`` (a
+    fraction of *baseline* occupancy) converts to a fraction of the fused
+    kernel's own achievable occupancy, and must not exceed it.
+    """
+    sv, tps = cfg.slice_vectors, cfg.tasks_per_slice
+    n_slices = world * cfg.tables_per_gpu * cfg.slices_per_stripe(world)
+    xp = xp_of(n_slices, tps)
+    todo = tps == 0
+    if xp.any(todo):
+        slots = xp.minimum(device.occupancy(device.fused_res).resident_wgs,
+                           n_slices)
+        target = xp.ceil(8 * slots / n_slices)
+        for div in (1, 2, 4, 8, 16, 32):
+            take = todo & (div >= target) & (sv % div == 0)
+            if xp.any(take):
+                tps = xp.where(take, div, tps)
+                todo = todo ^ take
+                if not xp.any(todo):
+                    break
+        else:
+            tps = xp.where(todo, sv, tps)
+
+    cost = embedding_wg_cost(cfg.pooling, cfg.dim, ITEMSIZE).plus(
+        fixed=device.spec.flag_op_latency)
+
+    limit = frac = cfg.occupancy_of_baseline
+    if frac is not None:
+        base = device.occupancy(device.base_res).resident_wgs
+        fused = device.occupancy(device.fused_res).resident_wgs
+        limit = frac * base / fused
+        xp = xp_of(limit)
+        bad = limit > 1.0 + 1e-9        # NaN compares False
+        if xp.any(bad):
+            raise ValueError(
+                f"occupancy {xp.first(frac, bad)} of baseline exceeds the "
+                f"fused kernel's maximum ({fused / base:.3f} of baseline)")
+        limit = xp.minimum(limit, 1.0)
+    return EmbeddingA2APlan(
+        tps, sv // tps, cost,
+        cost.with_bytes(cost.bytes - cfg.dim * ITEMSIZE), limit)
 
 
 def make_embedding_inputs(cfg: EmbeddingA2AConfig, world: int):
@@ -185,6 +252,8 @@ class FusedEmbeddingAllToAll:
             self.comm.alloc_flags(self.n_flags, name=f"sliceRdy[{r}]")
             for r in range(self.world)
         ]
+        self.plans = [embedding_a2a_plan(gpu, cfg, self.world)
+                      for gpu in self.cluster.gpus]
 
     # -- flag indexing ---------------------------------------------------------
     def flag_index(self, src: int, table: int, s: int) -> int:
@@ -192,38 +261,10 @@ class FusedEmbeddingAllToAll:
         return (src * self.cfg.tables_per_gpu + table) * n_s + s
 
     # -- kernel construction ---------------------------------------------------
-    def _tasks_per_slice(self, rank: int) -> int:
-        """Resolve the task granularity within a slice.
-
-        ``tasks_per_slice == 0`` (auto) splits slices just enough that the
-        task count comfortably exceeds the persistent-WG count — otherwise
-        coarse tasks quantize the tail of the kernel into idle rounds that
-        real logical-WG-granular hardware scheduling would not have.
-        """
-        cfg, world = self.cfg, self.world
-        if cfg.tasks_per_slice:
-            return cfg.tasks_per_slice
-        n_slices = world * cfg.tables_per_gpu * cfg.slices_per_stripe(world)
-        gpu = self.cluster.gpu(rank)
-        occ = gpu.occupancy(fused_kernel_resources(gpu.spec))
-        slots = min(occ.resident_wgs, n_slices)
-        target = math.ceil(8 * slots / n_slices)
-        for div in (1, 2, 4, 8, 16, 32):
-            if div >= target and cfg.slice_vectors % div == 0:
-                return div
-        return cfg.slice_vectors
-
     def _build_tasks(self, rank: int) -> List[WgTask]:
         cfg, world = self.cfg, self.world
         n_s = cfg.slices_per_stripe(world)
-        tasks_per_slice = self._tasks_per_slice(rank)
-        spec = self.cluster.gpu(rank).spec
-        base_cost = embedding_wg_cost(cfg.pooling, cfg.dim, ITEMSIZE)
-        # Every logical WG pays the WG_Done bitmask bookkeeping.
-        base_cost = base_cost.plus(fixed=spec.flag_op_latency)
-        # Zero-copy: same-node remote slices skip the local output write.
-        zc_cost = base_cost.with_bytes(base_cost.bytes - cfg.dim * ITEMSIZE)
-        repeat = cfg.slice_vectors // tasks_per_slice
+        tasks_per_slice, repeat, base_cost, zc_cost, _ = self.plans[rank]
         ctx = self.comm.ctx(rank)
         tasks: List[WgTask] = []
         task_id = 0
@@ -232,6 +273,7 @@ class FusedEmbeddingAllToAll:
         for d in range(world):
             remote = d != rank
             same_node = self.cluster.same_node(rank, d)
+            # Zero-copy: same-node remote slices skip the local output write.
             cost = (zc_cost if (remote and same_node and cfg.zero_copy)
                     else base_cost)
             for s in range(n_s):
@@ -315,44 +357,13 @@ class FusedEmbeddingAllToAll:
 
         return epilogue
 
-    def _kernel_occupancy_limit(self, rank: int) -> Optional[float]:
-        """Convert the Fig. 13 knob (fraction of *baseline* occupancy) to a
-        fraction of the fused kernel's own achievable occupancy."""
-        frac = self.cfg.occupancy_of_baseline
-        if frac is None:
-            return None
-        gpu = self.cluster.gpu(rank)
-        base = gpu.occupancy(baseline_kernel_resources(gpu.spec)).resident_wgs
-        fused = gpu.occupancy(fused_kernel_resources(gpu.spec)).resident_wgs
-        limit = frac * base / fused
-        if limit > 1.0 + 1e-9:
-            raise ValueError(
-                f"occupancy {frac} of baseline exceeds the fused kernel's "
-                f"maximum ({fused / base:.3f} of baseline)")
-        return min(limit, 1.0)
-
     # -- execution ------------------------------------------------------------
     def run(self):
         self._payloads: Dict = {}
-        self.stats["rank_end_times"] = {}
-        kernels = []
-        for r in range(self.world):
-            tasks = self._build_tasks(r)
-            gpu = self.cluster.gpu(r)
-            kernels.append(PersistentKernel(
-                gpu, fused_kernel_resources(gpu.spec), tasks,
-                name=f"fused_emb_a2a[{r}]",
-                occupancy_limit=self._kernel_occupancy_limit(r),
-                epilogue=self._epilogue(r),
-                trace=self.harness.trace))
-
-        def rank_proc(r, kern):
-            yield from kern.run()
-            self.stats["rank_end_times"][r] = self.sim.now
-
-        procs = [self.sim.process(rank_proc(r, k), name=f"rank{r}")
-                 for r, k in enumerate(kernels)]
-        yield self.sim.all_of(procs)
+        kernels = yield from run_fused_kernels(
+            self, "fused_emb_a2a",
+            occupancy_limit=lambda r: self.plans[r].occupancy_limit,
+            epilogue=self._epilogue)
         self.stats["occupancy"] = kernels[0].occupancy.fraction
         if self.cfg.functional:
             return [self.out.local(r) for r in range(self.world)]
@@ -378,7 +389,7 @@ class BaselineEmbeddingAllToAll:
     def run(self):
         cfg, world = self.cfg, self.world
         cost = embedding_wg_cost(cfg.pooling, cfg.dim, ITEMSIZE)
-        res = baseline_kernel_resources(self.cluster.gpu(0).spec)
+        res = self.cluster.gpu(0).base_res
 
         pooled_all: List[List[np.ndarray]] = [[] for _ in range(world)]
 
@@ -408,7 +419,6 @@ class BaselineEmbeddingAllToAll:
             # (world, local, T, dim) -> (local, world*T, dim)
             return [o.transpose(1, 0, 2, 3).reshape(
                 local, world * cfg.tables_per_gpu, cfg.dim) for o in outs]
-        chunk = float(local * cfg.tables_per_gpu * cfg.dim * ITEMSIZE)
         yield from self.comm.collectives.all_to_all_bytes(
-            chunk, algorithm=cfg.algo)
+            cfg.chunk_bytes(world), algorithm=cfg.algo)
         return None

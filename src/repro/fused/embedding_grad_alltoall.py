@@ -24,26 +24,22 @@ rows through the stored lookup indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, NamedTuple
 
 import numpy as np
 
 from ..hw.gpu import WgCost, bulk_kernel_time
-from ..kernels import PersistentKernel, WgTask, get_scheduler
+from ..kernels import WgTask, get_scheduler
 from ..ops.embedding import embedding_wg_cost
-from .base import (
-    OpHarness,
-    baseline_kernel_resources,
-    fused_kernel_resources,
-)
+from .base import OpHarness, run_fused_kernels
 from .embedding_alltoall import (
     ITEMSIZE,
     EmbeddingA2AConfig,
     make_embedding_inputs,
 )
 
-__all__ = ["FusedEmbeddingGradAllToAll", "BaselineEmbeddingGradAllToAll",
+__all__ = ["EmbeddingGradPlan", "embedding_grad_plan",
+           "FusedEmbeddingGradAllToAll", "BaselineEmbeddingGradAllToAll",
            "make_gradients", "reference_table_grads",
            "SCATTER_ATOMIC_FACTOR"]
 
@@ -100,6 +96,28 @@ def _scatter_cost(cfg: EmbeddingA2AConfig, vectors: int) -> WgCost:
                   dtype="fp32", access="gather")
 
 
+class EmbeddingGradPlan(NamedTuple):
+    """One rank's fused gradient kernel, as both engines read it."""
+
+    send_cost: WgCost           #: ship one gradient slice to its owner
+    apply_cost: WgCost          #: scatter-add one received slice
+
+
+def embedding_grad_plan(device, cfg: EmbeddingA2AConfig,
+                        world: int) -> EmbeddingGradPlan:
+    """The fused gradient kernel's plan on ``device`` (a simulated
+    :class:`~repro.hw.gpu.Gpu` or an analytic ``DeviceModel``).
+
+    The send is bandwidth work, not FLOPs: a stream read of the slice
+    plus the flag bookkeeping (the issuing WG pays the API latency in its
+    hook).  ``world`` is unused; every plan takes the same arguments.
+    """
+    return EmbeddingGradPlan(
+        WgCost(bytes=cfg.slice_bytes(), dtype="fp32",
+               fixed=device.spec.flag_op_latency),
+        _scatter_cost(cfg, cfg.slice_vectors))
+
+
 class FusedEmbeddingGradAllToAll:
     """Backward fusion: gradient All-to-All overlapped with scatter-add."""
 
@@ -133,6 +151,8 @@ class FusedEmbeddingGradAllToAll:
         self.n_flags = self.world * cfg.tables_per_gpu * n_s
         self.flags = [self.comm.alloc_flags(self.n_flags, name=f"gradRdy[{r}]")
                       for r in range(self.world)]
+        self.plans = [embedding_grad_plan(gpu, cfg, self.world)
+                      for gpu in self.cluster.gpus]
 
     def flag_index(self, src_dst: int, table: int, s: int) -> int:
         n_s = self.cfg.slices_per_stripe(self.world)
@@ -144,13 +164,9 @@ class FusedEmbeddingGradAllToAll:
         n_s = cfg.slices_per_stripe(world)
         ctx = self.comm.ctx(rank)
         spec = self.cluster.gpu(rank).spec
-        slice_bytes = cfg.slice_bytes()
+        send_cost, apply_cost = self.plans[rank]
 
-        # Send tasks: ship my gradient slices to their table owners.  The
-        # send itself is bandwidth work, not FLOPs — modelled as a stream
-        # read of the slice plus the API latency.
-        send_cost = WgCost(bytes=slice_bytes, dtype="fp32",
-                           fixed=spec.flag_op_latency)
+        # Send tasks: ship my gradient slices to their table owners.
         tasks: List[WgTask] = []
         task_id = 0
         for owner in range(world):
@@ -172,7 +188,6 @@ class FusedEmbeddingGradAllToAll:
         # so the scatter-add overlaps the remote slices still in flight —
         # otherwise every physical WG head-of-line blocks on the wire.
         # The scatter-add is charged inside the hook, after the wait.
-        apply_cost = _scatter_cost(cfg, cfg.slice_vectors)
         free = WgCost()
         src_order = ([rank] + [r for r in range(world) if r != rank]
                      if cfg.scheduler == "comm_aware" else range(world))
@@ -233,22 +248,7 @@ class FusedEmbeddingGradAllToAll:
 
     # -- execution ------------------------------------------------------------
     def run(self):
-        self.stats["rank_end_times"] = {}
-        kernels = []
-        for r in range(self.world):
-            gpu = self.cluster.gpu(r)
-            kernels.append(PersistentKernel(
-                gpu, fused_kernel_resources(gpu.spec),
-                self._build_tasks(r), name=f"fused_emb_grad_a2a[{r}]",
-                trace=self.harness.trace))
-
-        def rank_proc(r, kern):
-            yield from kern.run()
-            self.stats["rank_end_times"][r] = self.sim.now
-
-        procs = [self.sim.process(rank_proc(r, k), name=f"rank{r}")
-                 for r, k in enumerate(kernels)]
-        yield self.sim.all_of(procs)
+        yield from run_fused_kernels(self, "fused_emb_grad_a2a")
         if self.cfg.functional:
             return self.table_grads
         return None
@@ -273,21 +273,17 @@ class BaselineEmbeddingGradAllToAll:
 
     def run(self):
         cfg, world = self.cfg, self.world
-        local = cfg.local_batch(world)
-        t_per = cfg.tables_per_gpu
-        chunk = float(local * t_per * cfg.dim * ITEMSIZE)
         yield from self.comm.collectives.all_to_all_bytes(
-            chunk, algorithm=cfg.algo)
+            cfg.chunk_bytes(world), algorithm=cfg.algo)
 
         # Scatter-add kernel: one logical WG per gradient vector.
-        n_vectors = cfg.global_batch * t_per
+        n_vectors = cfg.global_batch * cfg.tables_per_gpu
         cost = _scatter_cost(cfg, 1)
 
         def rank_proc(r):
             gpu = self.cluster.gpu(r)
             yield self.sim.timeout(bulk_kernel_time(
-                gpu, n_vectors, cost,
-                baseline_kernel_resources(gpu.spec)))
+                gpu, n_vectors, cost, gpu.base_res))
 
         procs = [self.sim.process(rank_proc(r)) for r in range(world)]
         yield self.sim.all_of(procs)

@@ -21,23 +21,20 @@ RCCL-like All-to-All.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
 from ..frameworks.triton import build_tasks, jit, tl
 from ..hw.gpu import WgCost, bulk_kernel_time
-from ..kernels import PersistentKernel, WgTask, get_scheduler
+from ..kernels import WgTask, get_scheduler
 from ..ops.gemm import gemm_wg_cost
 from ..utils.xp import xp_of
-from .base import (
-    OpHarness,
-    baseline_kernel_resources,
-    fused_kernel_resources,
-)
+from .base import OpHarness, run_fused_kernels
 
-__all__ = ["GemmA2AConfig", "FusedGemmAllToAll", "BaselineGemmAllToAll",
-           "make_gemm_inputs", "gemm_a2a_kernel"]
+__all__ = ["GemmA2AConfig", "GemmA2APlan", "gemm_a2a_plan",
+           "FusedGemmAllToAll", "BaselineGemmAllToAll", "make_gemm_inputs",
+           "gemm_a2a_kernel"]
 
 
 @dataclass(frozen=True)
@@ -91,11 +88,42 @@ class GemmA2AConfig:
         return xp_of(self.block_m, self.block_n, self.itemsize).asfloat(
             self.block_m * self.block_n * self.itemsize)
 
+    def tile_cost(self) -> WgCost:
+        """One output tile's GEMM: the bulk kernel's WG."""
+        return gemm_wg_cost(self.block_m, self.block_n, self.model_dim,
+                            itemsize=self.itemsize, dtype=self.flop_dtype)
+
+    def chunk_bytes(self, world: int) -> float:
+        """Bytes each expert sends each peer in the baseline All-to-All:
+        the output rows of that peer's token block."""
+        tps = self.tokens_per_src(world)
+        return xp_of(tps, self.ffn_dim, self.itemsize).asfloat(
+            tps * self.ffn_dim * self.itemsize)
+
     @property
     def label(self) -> str:
         def k(v):
             return f"{v // 1024}k" if v % 1024 == 0 and v >= 1024 else str(v)
         return f"{k(self.tokens)}|{k(self.model_dim)}|{k(self.ffn_dim)}"
+
+
+class GemmA2APlan(NamedTuple):
+    """One rank's fused GEMM kernel, as both engines read it."""
+
+    cost: WgCost                #: a tile for this rank + tileRdy bookkeeping
+    zc_cost: WgCost             #: a peer's tile: no local C write
+
+
+def gemm_a2a_plan(device, cfg: GemmA2AConfig, world: int) -> GemmA2APlan:
+    """The fused GEMM kernel's plan on ``device`` (a simulated
+    :class:`~repro.hw.gpu.Gpu` or an analytic ``DeviceModel``): every tile
+    pays the per-destination completion counting, and a tile bound for a
+    peer leaves over the fabric instead of being written locally
+    (zero-copy).  ``world`` is unused; every plan takes the same
+    arguments."""
+    cost = cfg.tile_cost().plus(fixed=device.spec.flag_op_latency)
+    return GemmA2APlan(cost,
+                       cost.with_bytes(cost.bytes - cfg.tile_wire_bytes()))
 
 
 def make_gemm_inputs(cfg: GemmA2AConfig, world: int):
@@ -178,22 +206,12 @@ class FusedGemmAllToAll:
             # index [dst] inside put_tile uses (rank, rows, cols) on the
             # destination's (world, tps, ffn) view.
         self.tile_rdy = self.comm.alloc_flags(self.world, name="tileRdy")
+        self.plans = [gemm_a2a_plan(gpu, cfg, self.world)
+                      for gpu in self.cluster.gpus]
 
     def _grid(self):
         cfg, world = self.cfg, self.world
         return (cfg.tokens // cfg.block_m, cfg.ffn_dim // cfg.block_n)
-
-    def _tile_cost(self, remote: bool) -> WgCost:
-        cfg = self.cfg
-        spec = self.cluster.gpus[0].spec
-        cost = gemm_wg_cost(cfg.block_m, cfg.block_n, cfg.model_dim,
-                            itemsize=cfg.itemsize, dtype=cfg.flop_dtype)
-        cost = cost.plus(fixed=spec.flag_op_latency)
-        if remote:
-            # Zero-copy: the tile leaves over the fabric, no local C write.
-            cost = cost.with_bytes(
-                cost.bytes - cfg.block_m * cfg.block_n * cfg.itemsize)
-        return cost
 
     def _build_tasks(self, rank: int):
         cfg, world = self.cfg, self.world
@@ -207,7 +225,8 @@ class FusedGemmAllToAll:
         remaining = {d: tiles_per_dest for d in range(world)}
         pending_by_dst: dict = {}
         # Only two tile costs exist; every task shares one of them.
-        costs = {remote: self._tile_cost(remote) for remote in (False, True)}
+        plan = self.plans[rank]
+        costs = {False: plan.cost, True: plan.zc_cost}
 
         if cfg.functional:
             def meta_fn(pos):
@@ -229,8 +248,8 @@ class FusedGemmAllToAll:
                     t.on_complete, t.meta["dest"], rank, ctx, remaining,
                     pending_by_dst)
         else:
-            # Analytic mirror of the Triton path (same tasks, no payloads);
-            # a tile's hook depends only on its destination.
+            # Timing only: the Triton path's tasks without payloads; a
+            # tile's hook depends only on its destination.
             api_latency = self.cluster.gpu(rank).spec.shmem_api_latency
             wire_bytes = cfg.tile_wire_bytes()
             hooks = [self._wrap_hook(
@@ -288,26 +307,8 @@ class FusedGemmAllToAll:
         return epilogue
 
     def run(self):
-        self.stats["rank_end_times"] = {}
-        kernels = []
-        for r in range(self.world):
-            # The Triton path shares pending-put tracking between
-            # build_tasks and the wrapper via the op's dicts; construct
-            # per rank.
-            tasks = self._build_tasks(r)
-            gpu = self.cluster.gpu(r)
-            kernels.append(PersistentKernel(
-                gpu, fused_kernel_resources(gpu.spec), tasks,
-                name=f"fused_gemm_a2a[{r}]", epilogue=self._epilogue(r),
-                trace=self.harness.trace))
-
-        def rank_proc(r, kern):
-            yield from kern.run()
-            self.stats["rank_end_times"][r] = self.sim.now
-
-        procs = [self.sim.process(rank_proc(r, k), name=f"rank{r}")
-                 for r, k in enumerate(kernels)]
-        yield self.sim.all_of(procs)
+        kernels = yield from run_fused_kernels(
+            self, "fused_gemm_a2a", epilogue=self._epilogue)
         self.stats["occupancy"] = kernels[0].occupancy.fraction
         if self.cfg.functional:
             return [self.out.local(s)[s] for s in range(self.world)]
@@ -348,9 +349,8 @@ class BaselineGemmAllToAll:
         cfg, world = self.cfg, self.world
         grid = (cfg.tokens // cfg.block_m, cfg.ffn_dim // cfg.block_n)
         n_tiles = grid[0] * grid[1]
-        cost = gemm_wg_cost(cfg.block_m, cfg.block_n, cfg.model_dim,
-                            itemsize=cfg.itemsize, dtype=cfg.flop_dtype)
-        res = baseline_kernel_resources(self.cluster.gpu(0).spec)
+        cost = cfg.tile_cost()
+        res = self.cluster.gpu(0).base_res
 
         outputs: List[Optional[np.ndarray]] = [None] * world
 
@@ -364,11 +364,10 @@ class BaselineGemmAllToAll:
         yield self.sim.all_of(procs)
         self.stats["compute_done"] = self.sim.now
 
-        tps = cfg.tokens_per_src(world)
-        chunk = float(tps * cfg.ffn_dim * cfg.itemsize)
         yield from self.comm.collectives.all_to_all_bytes(
-            chunk, algorithm=cfg.algo)
+            cfg.chunk_bytes(world), algorithm=cfg.algo)
         if cfg.functional:
+            tps = cfg.tokens_per_src(world)
             return [np.stack([outputs[r][s * tps:(s + 1) * tps]
                               for r in range(world)])
                     for s in range(world)]

@@ -31,22 +31,18 @@ the same dataflow in fp32 NumPy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
 from ..hw.gpu import WgCost, bulk_kernel_time
-from ..kernels import PersistentKernel, WgTask, get_scheduler
+from ..kernels import WgTask, get_scheduler
 from ..ops.gemv import gemv, gemv_wg_cost, split_tiles
 from ..utils.xp import xp_of
-from .base import (
-    OpHarness,
-    baseline_kernel_resources,
-    fused_kernel_resources,
-)
+from .base import OpHarness, run_fused_kernels
 
-__all__ = ["GemvAllReduceConfig", "FusedGemvAllReduce",
-           "BaselineGemvAllReduce", "make_gemv_inputs"]
+__all__ = ["GemvAllReduceConfig", "GemvAllReducePlan", "gemv_allreduce_plan",
+           "FusedGemvAllReduce", "BaselineGemvAllReduce", "make_gemv_inputs"]
 
 
 @dataclass(frozen=True)
@@ -91,11 +87,40 @@ class GemvAllReduceConfig:
         return xp_of(self.tile_rows, self.itemsize).asfloat(
             self.tile_rows * self.itemsize)
 
+    def tile_cost(self) -> WgCost:
+        """One output tile's GEMV: the bulk kernel's WG."""
+        return gemv_wg_cost(self.tile_rows, self.n_per_gpu, self.itemsize,
+                            dtype=self.flop_dtype)
+
     @property
     def label(self) -> str:
         def k(v):
             return f"{v // 1024}k" if v % 1024 == 0 and v >= 1024 else str(v)
         return f"{k(self.m)}|{k(self.n_per_gpu)}"
+
+
+class GemvAllReducePlan(NamedTuple):
+    """One rank's fused GEMV kernel, as both engines read it."""
+
+    cost: WgCost                #: a tile this rank owns + flag bookkeeping
+    zc_cost: WgCost             #: a peer's tile: no local write
+    reduce_cost: WgCost         #: reduce one owned tile over every source
+
+
+def gemv_allreduce_plan(device, cfg: GemvAllReduceConfig,
+                        world: int) -> GemvAllReducePlan:
+    """The fused GEMV kernel's plan on ``device`` (a simulated
+    :class:`~repro.hw.gpu.Gpu` or an analytic ``DeviceModel``).  A tile
+    owned by a peer is stored straight into the peer's partial buffer
+    (zero-copy).  ``validate`` makes every tile ``tile_rows`` high, so one
+    reduce cost serves every tile."""
+    cost = cfg.tile_cost().plus(fixed=device.spec.flag_op_latency)
+    xp = xp_of(cfg.tile_rows, cfg.itemsize)
+    return GemvAllReducePlan(
+        cost, cost.with_bytes(cost.bytes - cfg.tile_rows * cfg.itemsize),
+        WgCost(flops=xp.asfloat((world - 1) * cfg.tile_rows),
+               bytes=xp.asfloat((world + 1) * cfg.tile_rows * cfg.itemsize),
+               dtype="fp32"))
 
 
 def make_gemv_inputs(cfg: GemvAllReduceConfig, world: int):
@@ -140,20 +165,15 @@ class FusedGemvAllReduce:
             self.y = self.comm.alloc((cfg.m,), np.float32)
         self.partial_rdy = self.comm.alloc_flags(self.world, name="partialRdy")
         self.final_rdy = self.comm.alloc_flags(self.world, name="finalRdy")
+        self.plans = [gemv_allreduce_plan(gpu, cfg, self.world)
+                      for gpu in self.cluster.gpus]
 
     # -- task construction ---------------------------------------------------
     def _build_tasks(self, rank: int) -> List[WgTask]:
         cfg, world = self.cfg, self.world
-        gpu = self.cluster.gpu(rank)
-        spec = gpu.spec
         chunk = cfg.chunk_rows(world)
         ctx = self.comm.ctx(rank)
-
-        base_cost = gemv_wg_cost(cfg.tile_rows, cfg.n_per_gpu, cfg.itemsize)
-        base_cost = WgCost(base_cost.flops, base_cost.bytes, cfg.flop_dtype,
-                           spec.flag_op_latency, base_cost.access)
-        zc_cost = base_cost.with_bytes(
-            base_cost.bytes - cfg.tile_rows * cfg.itemsize)
+        base_cost, zc_cost, reduce_cost = self.plans[rank]
 
         # Transfers in flight towards each owner, for the partialRdy chain.
         transfers: Dict[int, list] = {o: [] for o in range(world)}
@@ -178,18 +198,10 @@ class FusedGemvAllReduce:
 
         # Phase B — reduce my chunk and broadcast (runs after phase A in
         # queue order; flags enforce cross-GPU correctness).
-        # The reduce itself is charged inside the hook; tiles of equal
-        # height share one reduce cost.
+        # The reduce itself is charged inside the hook.
         final_transfers: Dict[int, list] = {d: [] for d in range(world)}
         free = WgCost()
-        reduce_costs: Dict[int, WgCost] = {}
         for i, (t0, t1) in enumerate(tiles):
-            reduce_cost = reduce_costs.get(t1 - t0)
-            if reduce_cost is None:
-                reduce_cost = reduce_costs[t1 - t0] = WgCost(
-                    flops=float((world - 1) * (t1 - t0)),
-                    bytes=float((world + 1) * (t1 - t0) * cfg.itemsize),
-                    dtype="fp32")
             tasks.append(WgTask(
                 task_id=task_id, cost=free,
                 meta={"remote": False, "owner": rank, "phase": "B"},
@@ -198,10 +210,11 @@ class FusedGemvAllReduce:
                     last=(i == len(tiles) - 1))))
             task_id += 1
 
-        ordered = get_scheduler(self.cfg.scheduler)(tasks)
-        # Phase-B tasks must stay after this rank's phase-A tasks; both
-        # schedulers preserve that (B tasks are 'local'), but guard anyway.
-        return ordered
+        # Both schedulers keep every phase-B task after every phase-A task
+        # (B tasks are local and come last in natural order).  The other
+        # order could deadlock: a B hook blocks its WG on partialRdy, and
+        # with every WG so blocked no A task would run to set it.
+        return get_scheduler(self.cfg.scheduler)(tasks)
 
     def _make_gemv_compute(self, rank: int, owner: int, t0: int, t1: int):
         cfg, world = self.cfg, self.world
@@ -300,24 +313,8 @@ class FusedGemvAllReduce:
     # -- execution ------------------------------------------------------------
     def run(self):
         self._tile_payloads: Dict = {}
-        self.stats["rank_end_times"] = {}
-        kernels = []
-        for r in range(self.world):
-            tasks = self._build_tasks(r)
-            gpu = self.cluster.gpu(r)
-            kernels.append(PersistentKernel(
-                gpu, fused_kernel_resources(gpu.spec), tasks,
-                name=f"fused_gemv_ar[{r}]",
-                epilogue=self._epilogue(r),
-                trace=self.harness.trace))
-
-        def rank_proc(r, kern):
-            yield from kern.run()
-            self.stats["rank_end_times"][r] = self.sim.now
-
-        procs = [self.sim.process(rank_proc(r, k), name=f"rank{r}")
-                 for r, k in enumerate(kernels)]
-        yield self.sim.all_of(procs)
+        kernels = yield from run_fused_kernels(
+            self, "fused_gemv_ar", epilogue=self._epilogue)
         self.stats["occupancy"] = kernels[0].occupancy.fraction
         if self.cfg.functional:
             return [self.y.local(r) for r in range(self.world)]
@@ -343,9 +340,8 @@ class BaselineGemvAllReduce:
     def run(self):
         cfg, world = self.cfg, self.world
         n_tiles = cfg.m // cfg.tile_rows
-        cost = gemv_wg_cost(cfg.tile_rows, cfg.n_per_gpu, cfg.itemsize)
-        cost = WgCost(cost.flops, cost.bytes, cfg.flop_dtype, 0.0)
-        res = baseline_kernel_resources(self.cluster.gpu(0).spec)
+        cost = cfg.tile_cost()
+        res = self.cluster.gpu(0).base_res
 
         partials: List[Optional[np.ndarray]] = [None] * world
 

@@ -9,6 +9,8 @@ share.  Its timing closed forms (:func:`wg_time`, :func:`task_time`,
 :class:`repro.analytic.DeviceModel` for a whole platform.  Each is
 written once against :mod:`repro.utils.xp`, so it evaluates one scenario
 on Python scalars or a scenario axis on NumPy columns, bit for bit alike.
+Both devices also carry their derived ``base_res``/``fused_res`` kernel
+resources, which the fused operators' plans (:mod:`repro.fused`) read.
 
 The model is deliberately at the granularity the paper operates at — the
 workgroup (WG).  A kernel is a set of logical WGs, each described by a
@@ -296,7 +298,9 @@ def reduce_time(device, n_elems, n_sources: int, itemsize):
 class Gpu:
     """One simulated GPU.
 
-    Fabric ports and the NIC are attached by :mod:`repro.hw.topology`.
+    Like :class:`repro.analytic.DeviceModel`, it carries the derived
+    ``base_res`` and ``fused_res`` kernel resources of its spec.  Fabric
+    ports and the NIC are attached by :mod:`repro.hw.topology`.
     """
 
     def __init__(self, sim: Simulator, spec: GpuSpec, gpu_id: int,
@@ -319,12 +323,20 @@ class Gpu:
     def spec(self, spec: GpuSpec) -> None:
         """Swap the device spec (ablations), dropping every derived cache.
 
-        The occupancy/duration memos and the HBM model are functions of the
-        spec's *content*; rebuilding them here guarantees an overridden or
-        replaced spec can never read another spec's cached entries.
+        The occupancy/duration memos, the HBM model and the derived kernel
+        resources are functions of the spec's *content*; rebuilding them
+        here guarantees an overridden or replaced spec can never read
+        another spec's cached entries.
         """
+        # platform imports this module, so bind its derivations lazily.
+        from .platform import (
+            derived_baseline_resources,
+            derived_fused_resources,
+        )
         self._spec = spec
         self.hbm = HbmModel(spec)
+        self.base_res = derived_baseline_resources(spec)
+        self.fused_res = derived_fused_resources(spec)
         # Kernels ask for the same handful of (resources, cost, occupancy)
         # combinations thousands of times per launch; both calculations are
         # pure functions of frozen dataclasses, so memoize per device.

@@ -10,8 +10,6 @@ they send a `sliceRdy` flag after a fence.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..sim import Event, FifoChannel, Simulator
 from .specs import NicSpec
 

@@ -39,7 +39,8 @@ def split_tiles(extent: int, tile: int) -> List[Tuple[int, int]]:
     return [(s, min(s + tile, extent)) for s in range(0, extent, tile)]
 
 
-def gemv_wg_cost(tile_rows: int, n_cols: int, itemsize: int = 4) -> WgCost:
+def gemv_wg_cost(tile_rows: int, n_cols: int, itemsize: int = 4,
+                 dtype: str = "fp32") -> WgCost:
     """Cost of one WG computing ``tile_rows`` output elements.
 
     Streams the ``tile_rows x n_cols`` weight block once (GEMV is
@@ -53,4 +54,4 @@ def gemv_wg_cost(tile_rows: int, n_cols: int, itemsize: int = 4) -> WgCost:
     bytes_moved = xp.asfloat((tile_rows * n_cols + n_cols + tile_rows)
                              * itemsize)
     flops = 2.0 * tile_rows * n_cols
-    return WgCost(flops=flops, bytes=bytes_moved, dtype="fp32")
+    return WgCost(flops=flops, bytes=bytes_moved, dtype=dtype)

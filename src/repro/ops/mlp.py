@@ -13,9 +13,9 @@ from typing import List, Sequence
 
 import numpy as np
 
-from ..hw.gpu import Gpu, KernelResources, WgCost
+from ..hw.gpu import Gpu, KernelResources
 from .activation import ACTIVATIONS
-from .gemm import gemm, gemm_wg_cost
+from .gemm import gemm
 
 __all__ = ["Mlp", "mlp_flops", "mlp_time_on_gpu"]
 

@@ -133,15 +133,15 @@ def test_device_model_is_memoized():
 ])
 def test_ops_mirrors_match_fused_operator(name, batch, tables, sv,
                                           occ_frac):
-    """The two operator-level mirrors in ``analytic.ops`` — tasks-per-
-    slice auto-split and the Fig. 13 occupancy-limit conversion — must
-    reproduce the DES operator's internals exactly (the device/comm
-    mirrors are pinned above; this pins the remaining hand-mirrored
-    pair so DES edits cannot silently desynchronize the engines)."""
-    from repro.analytic.ops import _occupancy_limit, _tasks_per_slice
+    """The DES operator and the analytic twin read one plan: every
+    rank's plan on its simulated GPU equals the plan ``analytic.ops``
+    evaluates on the platform's device model (the device/comm closed
+    forms are pinned above; ``tests/analytic/test_plans.py`` covers every
+    operator)."""
     from repro.fused.embedding_alltoall import (
         EmbeddingA2AConfig,
         FusedEmbeddingAllToAll,
+        embedding_a2a_plan,
     )
     cfg = EmbeddingA2AConfig(global_batch=batch, tables_per_gpu=tables,
                              slice_vectors=sv, functional=False,
@@ -149,5 +149,4 @@ def test_ops_mirrors_match_fused_operator(name, batch, tables, sv,
     h = OpHarness(num_nodes=2, gpus_per_node=1, platform=name)
     op = FusedEmbeddingAllToAll(h, cfg)
     d = device_model(get_platform(name))
-    assert _tasks_per_slice(d, cfg, h.world_size) == op._tasks_per_slice(0)
-    assert _occupancy_limit(d, occ_frac) == op._kernel_occupancy_limit(0)
+    assert op.plans == [embedding_a2a_plan(d, cfg, h.world_size)] * 2

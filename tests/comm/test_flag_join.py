@@ -16,7 +16,6 @@ import pytest
 
 from oracles import flag_wait_all_legacy
 from repro.comm.shmem import FlagArray
-from repro.fused.base import fused_kernel_resources
 from repro.hw.gpu import Gpu, WgCost
 from repro.hw.specs import MI210
 from repro.kernels import PersistentKernel, WgTask
@@ -126,7 +125,7 @@ def _program(seed):
         yield flags.wait_all(1, range(N_FLAGS), 2)
         log.append(("epi", ctx.slot_id, sim.now))
 
-    kern = PersistentKernel(gpu, fused_kernel_resources(), tasks,
+    kern = PersistentKernel(gpu, gpu.fused_res, tasks,
                             occupancy_limit=0.05, epilogue=epilogue)
     return sim, log, kern.launch()
 

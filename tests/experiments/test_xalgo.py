@@ -9,7 +9,6 @@ before the axis existed.  If ``SCHEMA_VERSION`` is deliberately bumped,
 re-pin them in the same commit.
 """
 
-import json
 import pathlib
 
 import pytest

@@ -9,7 +9,6 @@ from repro.frameworks.minitorch import (
     Device,
     OPS,
     SymmetricTensor,
-    Tensor,
     embedding_all_to_all_op,
     gemm_all_to_all_op,
     gemv_all_reduce_op,

@@ -10,7 +10,6 @@ from repro.frameworks.triton.language import TritonError, TileContext, \
 from repro.hw import build_cluster
 from repro.kernels import PersistentKernel
 from repro.hw.gpu import WgCost
-from repro.fused.base import fused_kernel_resources
 from repro.sim import Simulator
 
 
@@ -173,8 +172,8 @@ def test_build_tasks_simulated_launch_moves_data():
     tasks = build_tasks(put_kernel, (4,), (src, dst, 4, 1),
                         cost=WgCost(bytes=16.0),
                         shmem_ctx=comm.ctx(0))
-    kern = PersistentKernel(cluster.gpu(0), fused_kernel_resources(), tasks,
-                            name="put")
+    gpu = cluster.gpu(0)
+    kern = PersistentKernel(gpu, gpu.fused_res, tasks, name="put")
 
     def proc(sim):
         yield from kern.run()

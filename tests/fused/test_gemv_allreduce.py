@@ -11,6 +11,7 @@ from repro.fused.gemv_allreduce import (
     make_gemv_inputs,
     reference_output,
 )
+from repro.kernels import SCHEDULERS
 from repro.sim import TraceRecorder
 
 SMALL = dict(m=256, n_per_gpu=64, tile_rows=16)
@@ -58,6 +59,20 @@ def test_config_validation():
         GemvAllReduceConfig(m=100, n_per_gpu=64).validate(4)
     with pytest.raises(ValueError, match=">= 1"):
         GemvAllReduceConfig(m=0, n_per_gpu=64).validate(4)
+
+
+@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
+def test_reduce_tasks_follow_every_compute_task(scheduler):
+    """Phase-B hooks block their WG on partialRdy, which this rank's own
+    phase-A tasks help set; a B task ahead of an A task could deadlock."""
+    h = OpHarness(num_nodes=1, gpus_per_node=4)
+    op = FusedGemvAllReduce(h, GemvAllReduceConfig(
+        **SMALL, functional=False, scheduler=scheduler))
+    for rank in range(op.world):
+        phases = [t.meta["phase"] for t in op._build_tasks(rank)]
+        n_a = phases.count("A")
+        assert 0 < n_a < len(phases)
+        assert phases == ["A"] * n_a + ["B"] * (len(phases) - n_a)
 
 
 def test_label_formatting():

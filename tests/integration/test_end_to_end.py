@@ -1,7 +1,6 @@
 """Cross-module integration tests: full pipelines over the whole stack."""
 
 import numpy as np
-import pytest
 
 from repro.fused import (
     BaselineEmbeddingAllToAll,

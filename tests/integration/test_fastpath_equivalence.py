@@ -15,7 +15,7 @@ import random
 import numpy as np
 
 from repro.bench.harness import Row
-from repro.fused.base import OpHarness, fused_kernel_resources
+from repro.fused.base import OpHarness
 from repro.fused.embedding_alltoall import (
     BaselineEmbeddingAllToAll,
     EmbeddingA2AConfig,
@@ -163,7 +163,7 @@ def test_uniform_kernel_per_slot_times_bit_identical(monkeypatch):
                     (slot_ctx.slot_id, sim.now))
                 return None
 
-            return PersistentKernel(gpu, fused_kernel_resources(), tasks,
+            return PersistentKernel(gpu, gpu.fused_res, tasks,
                                     epilogue=epilogue)
 
         results = {}

@@ -1,6 +1,5 @@
 """Tests for the persistent-kernel runtime."""
 
-import numpy as np
 import pytest
 
 from repro.hw import MI210, Gpu, KernelResources, WgCost

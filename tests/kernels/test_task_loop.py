@@ -13,7 +13,6 @@ import random
 import pytest
 
 from repro.comm.shmem import FlagArray
-from repro.fused.base import fused_kernel_resources
 from repro.hw.gpu import Gpu, WgCost
 from repro.hw.specs import MI210
 from repro.kernels import PersistentKernel, WgTask
@@ -75,7 +74,7 @@ def _stress(seed, step_checked=False, horizon=None):
             yield flags.wait_all(0, range(ctx.slot_id % 3, N_FLAGS, 3))
             log.append(("done", k, ctx.slot_id, sim.now))
 
-        kernels.append(PersistentKernel(gpu, fused_kernel_resources(), tasks,
+        kernels.append(PersistentKernel(gpu, gpu.fused_res, tasks,
                                         occupancy_limit=rng.choice([0.05, 0.1]),
                                         epilogue=epilogue))
     # The setter's times accumulate task durations the way the slots do,
@@ -139,7 +138,7 @@ def test_failing_hook_after_block_fails_launch():
         yield flags.wait_until(0, 0)
         raise KeyError("late failure")
 
-    kern = PersistentKernel(gpu, fused_kernel_resources(),
+    kern = PersistentKernel(gpu, gpu.fused_res,
                             [WgTask(task_id=0, cost=WgCost(bytes=1e3),
                                     on_complete=hook)])
     proc = kern.launch()
