@@ -15,6 +15,7 @@ level up, in :mod:`repro.analytic.ops`.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Dict, Tuple
 
 from ..hw.gpu import KernelResources, OccupancyInfo, occupancy_for
 from ..hw.memory import HbmModel
@@ -39,9 +40,17 @@ class DeviceModel:
         self.hbm = HbmModel(platform.gpu)
         self.base_res: KernelResources = platform.baseline_resources()
         self.fused_res: KernelResources = platform.fused_resources()
+        self._base_occ = occupancy_for(self.spec, self.base_res)
+        self._fused_occ = occupancy_for(self.spec, self.fused_res)
         self._occupancy: dict = {}
 
     def occupancy(self, res: KernelResources) -> OccupancyInfo:
+        # The device's own footprints are nearly every call: matched by
+        # identity, without hashing a KernelResources.
+        if res is self.fused_res:
+            return self._fused_occ
+        if res is self.base_res:
+            return self._base_occ
         occ = self._occupancy.get(res)
         if occ is None:
             occ = self._occupancy[res] = occupancy_for(self.spec, res)
@@ -57,6 +66,26 @@ def _device_model(platform: Platform) -> DeviceModel:
     return DeviceModel(platform)
 
 
+#: ``id(platform) -> (platform, model)`` for platform objects already seen.
+#: Each entry holds its platform, so no live object can share its id.
+_BY_IDENTITY: Dict[int, Tuple[Platform, DeviceModel]] = {}
+#: Entries before the identity map starts over: mapping-form platforms
+#: decode to a fresh object per scenario and must not grow it unbounded.
+_IDENTITY_SLOTS = 64
+
+
 def device_model(platform: PlatformLike = None) -> DeviceModel:
-    """Memoized :class:`DeviceModel` for anything resolving to a platform."""
-    return _device_model(get_platform(platform))
+    """Memoized :class:`DeviceModel` for anything resolving to a platform.
+
+    Equal platforms share one model.  A platform object seen before is
+    found by identity, without hashing its nested specs again.
+    """
+    plat = get_platform(platform)
+    hit = _BY_IDENTITY.get(id(plat))
+    if hit is not None:
+        return hit[1]
+    model = _device_model(plat)
+    if len(_BY_IDENTITY) >= _IDENTITY_SLOTS:
+        _BY_IDENTITY.clear()
+    _BY_IDENTITY[id(plat)] = (plat, model)
+    return model

@@ -48,7 +48,7 @@ from ..fused.embedding_alltoall import (
     EmbeddingA2AConfig,
     embedding_a2a_plan,
 )
-from ..fused.embedding_grad_alltoall import _scatter_cost, embedding_grad_plan
+from ..fused.embedding_grad_alltoall import embedding_grad_plan
 from ..fused.gemm_alltoall import GemmA2AConfig, gemm_a2a_plan
 from ..fused.gemv_allreduce import GemvAllReduceConfig, gemv_allreduce_plan
 from ..hw.gpu import bulk_kernel_time, persistent_occupancy, task_time, wg_time
@@ -290,7 +290,7 @@ def predict_embedding_grad_a2a(num_nodes: int = 2, gpus_per_node: int = 1,
     # Baseline: All-to-All kernel, then a bulk scatter-add kernel.
     baseline = (cm.alltoall_time(cfg.chunk_bytes(world), algo=cfg.algo)
                 + bulk_kernel_time(d, cfg.global_batch * T,
-                                   _scatter_cost(cfg, 1), d.base_res))
+                                   cfg.scatter_cost(1), d.base_res))
     return {"fused_time": finish, "baseline_time": baseline}
 
 
@@ -360,8 +360,7 @@ def predict_gemm_a2a(world: int = 4, platform: PlatformLike = None,
     cm = CommModel(plat, num_nodes=1, gpus_per_node=world)
     spec = d.spec
 
-    grid_m = cfg.tokens // cfg.block_m
-    grid_n = cfg.ffn_dim // cfg.block_n
+    grid_m, grid_n = cfg.grid()
     n_tasks = grid_m * grid_n
     tiles_per_dest = n_tasks // world
     tile_wire = cfg.tile_wire_bytes()

@@ -16,6 +16,7 @@ execution graph.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -67,32 +68,46 @@ class ExecutionGraph:
         """List-schedule the DAG; returns (makespan, per-node spans).
 
         Deterministic: among ready nodes, the earliest-startable runs
-        first (ties broken by insertion order).
+        first (ties broken by insertion order).  Ready nodes are kept in
+        insertion order, each with the time its last dependency ended;
+        a node joins them when its count of unmet dependencies reaches
+        zero, so a pick scans only the ready nodes.
         """
         free_at = {"comp": 0.0, "net": 0.0}
         done: Dict[str, float] = {}
         spans: Dict[str, Tuple[float, float]] = {}
         order = list(self._nodes.values())
-        pending = order[:]
-        while pending:
+        index = {node.name: i for i, node in enumerate(order)}
+        unmet = [len(node.deps) for node in order]
+        dependents: List[List[int]] = [[] for _ in order]
+        for i, node in enumerate(order):
+            for d in node.deps:
+                dependents[index[d]].append(i)
+        # (insertion index, dependencies' end) of every ready node.
+        ready = [(i, 0.0) for i, n in enumerate(unmet) if n == 0]
+        for _ in order:
             best = None
             best_start = None
-            for node in pending:
-                if any(d not in done for d in node.deps):
-                    continue
-                ready = max((done[d] for d in node.deps), default=0.0)
-                start = max([ready] + [free_at[r]
-                                       for r in _RESOURCES[node.kind]])
+            for pos, (i, dep_end) in enumerate(ready):
+                node = order[i]
+                start = max([dep_end] + [free_at[r]
+                                         for r in _RESOURCES[node.kind]])
                 if best_start is None or start < best_start:
-                    best, best_start = node, start
+                    best, best_i, best_pos, best_start = node, i, pos, start
             if best is None:
                 raise ValueError("dependency cycle in execution graph")
+            del ready[best_pos]
             end = best_start + best.duration
             for r in _RESOURCES[best.kind]:
                 free_at[r] = end
             done[best.name] = end
             spans[best.name] = (best_start, end)
-            pending.remove(best)
+            for j in dependents[best_i]:
+                unmet[j] -= 1
+                if unmet[j] == 0:
+                    dep_end = max((done[d] for d in order[j].deps),
+                                  default=0.0)
+                    bisect.insort(ready, (j, dep_end))
         return (max(done.values()) if done else 0.0), spans
 
     def critical_path(self) -> List[str]:

@@ -23,13 +23,14 @@ kernel (paper Section IV-D).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
+from ..analytic.device import device_model
 from ..hw.gpu import Gpu, bulk_kernel_time, task_time
-from ..hw.platform import PlatformLike, get_platform
+from ..hw.platform import PlatformLike
 from ..models.configs import DlrmModelConfig
 from ..ops.embedding import embedding_wg_cost
 from ..ops.mlp import mlp_time_on_gpu
-from ..sim import Simulator
 from .graph import ExecutionGraph
 from .network import TorusNetwork
 
@@ -72,16 +73,19 @@ class DlrmIterationTimes:
 
 
 def compute_kernel_times(model: DlrmModelConfig, network: TorusNetwork,
-                         gpu: Gpu = None,
+                         gpu: Optional[Gpu] = None,
                          platform: PlatformLike = None) -> DlrmIterationTimes:
-    """Measure every kernel of the iteration on the simulated GPU.
+    """Every kernel time of the iteration, from the shared device closed
+    forms of :mod:`repro.hw.gpu`.
 
-    ``platform`` selects the device when no explicit ``gpu`` is passed
-    (default: the calibrated MI210 platform).
+    ``gpu`` is the device they are evaluated on: a simulated
+    :class:`~repro.hw.gpu.Gpu`, or by default the memoized
+    :class:`~repro.analytic.DeviceModel` of ``platform`` (default: the
+    calibrated MI210 platform).  Both give the same times to the bit.
     """
     model.validate()
     if gpu is None:
-        gpu = Gpu(Simulator(), get_platform(platform).gpu, gpu_id=0)
+        gpu = device_model(platform)
     p = network.num_nodes
     global_batch = model.local_batch * p
     tables_here = max(1, round(model.tables_per_node(p)))

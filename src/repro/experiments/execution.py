@@ -7,8 +7,8 @@ engine supports are evaluated in one NumPy call (bit-identical to the
 scalar path, toggled by ``REPRO_BATCH``); whatever remains is sharded
 across spawn-safe worker processes (``workers > 1``) or run inline (the
 serial fallback, also used for single misses).  Scenario
-results are canonicalized through a JSON round-trip *before* any consumer
-sees them, so the serial, parallel, and cached paths all yield
+results are canonicalized to what a JSON round trip returns *before* any
+consumer sees them, so the serial, parallel, and cached paths all yield
 byte-identical downstream reports.
 
 Worker processes are started with the ``spawn`` method: each re-imports
@@ -20,6 +20,7 @@ Scenario order in the sweep is preserved regardless of completion order.
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 import os
 from dataclasses import dataclass, field
@@ -77,14 +78,64 @@ class SweepRun:
         return build_report(self)
 
 
+class _NotPlainJson(Exception):
+    """A value :func:`_plain_copy` leaves to the JSON round trip."""
+
+
+#: Containers nested deeper than this take the JSON round trip, which
+#: also turns a circular reference into its ``ValueError``.
+_MAX_PLAIN_DEPTH = 32
+#: Ints at least this large take the JSON round trip, which enforces the
+#: interpreter's limit on int-to-string conversion.
+_PLAIN_INT_LIMIT = 1 << 63
+
+
+def _plain_copy(value: Any, depth: int) -> Any:
+    """What ``json.loads(json.dumps(value))`` returns, built directly, for
+    plain JSON values: str-keyed dicts, lists, tuples and exact ``str``,
+    ``int``, ``float``, ``bool`` and ``None``.  Raises
+    :class:`_NotPlainJson` on anything else."""
+    t = type(value)
+    if t is float:
+        return value if value == value else math.nan
+    if t is str or t is bool or value is None:
+        return value
+    if t is int:
+        if -_PLAIN_INT_LIMIT < value < _PLAIN_INT_LIMIT:
+            return value
+        raise _NotPlainJson
+    if depth >= _MAX_PLAIN_DEPTH:
+        raise _NotPlainJson
+    if t is dict:
+        out = {}
+        for k, v in value.items():
+            if type(k) is not str:
+                raise _NotPlainJson
+            # Most metrics are finite floats: no call for them.
+            out[k] = (v if type(v) is float and v == v
+                      else _plain_copy(v, depth + 1))
+        return out
+    if t is list or t is tuple:
+        return [_plain_copy(v, depth + 1) for v in value]
+    raise _NotPlainJson
+
+
 def _canonical_result(result: Any) -> Dict[str, Any]:
     """JSON round-trip a runner's result so every execution path (inline,
-    worker process, cache file) yields the identical Python object."""
+    worker process, cache file) yields the identical Python object.
+
+    Plain JSON values are copied structurally, to the same object the
+    round trip returns; anything else takes the round trip itself, so it
+    converts and raises exactly as before.
+    """
     if not isinstance(result, dict):
         raise TypeError(
             f"runner must return a dict of JSON-able metrics, "
             f"got {type(result).__name__}")
-    return json.loads(json.dumps(result))
+    try:
+        return _plain_copy(result, 0)
+    except _NotPlainJson:
+        return json.loads(json.dumps(result))
 
 
 def run_scenario(spec: ScenarioSpec) -> Dict[str, Any]:

@@ -49,6 +49,9 @@ __all__ = ["EmbeddingA2AConfig", "EmbeddingA2APlan", "embedding_a2a_plan",
 
 ITEMSIZE = 4  # fp32 embeddings throughout, as in the public DLRM code
 
+#: Scatter-add pays atomic-collision serialization over a plain gather.
+SCATTER_ATOMIC_FACTOR = 1.5
+
 
 @dataclass(frozen=True)
 class EmbeddingA2AConfig:
@@ -118,6 +121,15 @@ class EmbeddingA2AConfig:
         return xp_of(self.global_batch, self.tables_per_gpu, self.dim).asfloat(
             self.local_batch(world) * self.tables_per_gpu * self.dim
             * ITEMSIZE)
+
+    def scatter_cost(self, vectors: int) -> WgCost:
+        """Scatter-add of ``vectors`` gradient rows into their tables (the
+        backward operator's WG): the pooling gather's traffic, paying
+        :data:`SCATTER_ATOMIC_FACTOR` for atomic collisions."""
+        base = embedding_wg_cost(self.pooling, self.dim, ITEMSIZE)
+        return WgCost(flops=base.flops * vectors,
+                      bytes=base.bytes * vectors * SCATTER_ATOMIC_FACTOR,
+                      dtype="fp32", access="gather")
 
     @property
     def label(self) -> str:

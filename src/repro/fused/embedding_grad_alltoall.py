@@ -30,10 +30,9 @@ import numpy as np
 
 from ..hw.gpu import WgCost, bulk_kernel_time
 from ..kernels import WgTask, get_scheduler
-from ..ops.embedding import embedding_wg_cost
 from .base import OpHarness, run_fused_kernels
 from .embedding_alltoall import (
-    ITEMSIZE,
+    SCATTER_ATOMIC_FACTOR,
     EmbeddingA2AConfig,
     make_embedding_inputs,
 )
@@ -42,9 +41,6 @@ __all__ = ["EmbeddingGradPlan", "embedding_grad_plan",
            "FusedEmbeddingGradAllToAll", "BaselineEmbeddingGradAllToAll",
            "make_gradients", "reference_table_grads",
            "SCATTER_ATOMIC_FACTOR"]
-
-#: Scatter-add pays atomic-collision serialization over a plain gather.
-SCATTER_ATOMIC_FACTOR = 1.5
 
 
 def make_gradients(cfg: EmbeddingA2AConfig, world: int) -> List[np.ndarray]:
@@ -88,14 +84,6 @@ def reference_table_grads(cfg: EmbeddingA2AConfig, world: int,
     return out
 
 
-def _scatter_cost(cfg: EmbeddingA2AConfig, vectors: int) -> WgCost:
-    """Scatter-add of ``vectors`` gradient rows (per logical WG batch)."""
-    base = embedding_wg_cost(cfg.pooling, cfg.dim, ITEMSIZE)
-    return WgCost(flops=base.flops * vectors,
-                  bytes=base.bytes * vectors * SCATTER_ATOMIC_FACTOR,
-                  dtype="fp32", access="gather")
-
-
 class EmbeddingGradPlan(NamedTuple):
     """One rank's fused gradient kernel, as both engines read it."""
 
@@ -115,7 +103,7 @@ def embedding_grad_plan(device, cfg: EmbeddingA2AConfig,
     return EmbeddingGradPlan(
         WgCost(bytes=cfg.slice_bytes(), dtype="fp32",
                fixed=device.spec.flag_op_latency),
-        _scatter_cost(cfg, cfg.slice_vectors))
+        cfg.scatter_cost(cfg.slice_vectors))
 
 
 class FusedEmbeddingGradAllToAll:
@@ -278,7 +266,7 @@ class BaselineEmbeddingGradAllToAll:
 
         # Scatter-add kernel: one logical WG per gradient vector.
         n_vectors = cfg.global_batch * cfg.tables_per_gpu
-        cost = _scatter_cost(cfg, 1)
+        cost = cfg.scatter_cost(1)
 
         def rank_proc(r):
             gpu = self.cluster.gpu(r)

@@ -21,7 +21,7 @@ RCCL-like All-to-All.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -83,6 +83,11 @@ class GemmA2AConfig:
 
     def tokens_per_src(self, world: int) -> int:
         return self.tokens // world
+
+    def grid(self) -> Tuple[int, int]:
+        """Output-tile grid ``(row blocks, column blocks)``: one WG per
+        tile, in the bulk kernel and the fused kernel alike."""
+        return (self.tokens // self.block_m, self.ffn_dim // self.block_n)
 
     def tile_wire_bytes(self) -> float:
         return xp_of(self.block_m, self.block_n, self.itemsize).asfloat(
@@ -209,13 +214,9 @@ class FusedGemmAllToAll:
         self.plans = [gemm_a2a_plan(gpu, cfg, self.world)
                       for gpu in self.cluster.gpus]
 
-    def _grid(self):
-        cfg, world = self.cfg, self.world
-        return (cfg.tokens // cfg.block_m, cfg.ffn_dim // cfg.block_n)
-
     def _build_tasks(self, rank: int):
         cfg, world = self.cfg, self.world
-        grid = self._grid()
+        grid = cfg.grid()
         tps = cfg.tokens_per_src(world)
         ctx = self.comm.ctx(rank)
         # Per-destination completion counting (the WG_Done bitmask role):
@@ -347,8 +348,8 @@ class BaselineGemmAllToAll:
 
     def run(self):
         cfg, world = self.cfg, self.world
-        grid = (cfg.tokens // cfg.block_m, cfg.ffn_dim // cfg.block_n)
-        n_tiles = grid[0] * grid[1]
+        grid_m, grid_n = cfg.grid()
+        n_tiles = grid_m * grid_n
         cost = cfg.tile_cost()
         res = self.cluster.gpu(0).base_res
 

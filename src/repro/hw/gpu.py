@@ -28,6 +28,7 @@ loss for their extra communication registers.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
@@ -47,9 +48,10 @@ __all__ = ["WgCost", "KernelResources", "OccupancyInfo", "Gpu",
 #: loops amortize their tail and launch at full occupancy.
 BALANCE_ROUNDS = 8
 
+_tuple_new = tuple.__new__
 
-@dataclass(frozen=True)
-class WgCost:
+
+class WgCost(namedtuple("WgCost", "flops bytes dtype fixed access")):
     """Work performed by one logical workgroup.
 
     Attributes:
@@ -61,23 +63,27 @@ class WgCost:
             traffic (GEMM/GEMV/copies), "gather" for data-dependent lookups
             (embedding pooling).  Gather traffic pays the high-occupancy
             contention knee (row-buffer/TLB thrashing); streams do not.
+
+    An immutable record, hashable and equal by value: a tuple validated
+    on construction rather than a frozen dataclass, because every analytic
+    prediction builds several and a tuple is built in about a third of
+    the time.
     """
 
-    flops: float = 0.0
-    bytes: float = 0.0
-    dtype: str = "fp32"
-    fixed: float = 0.0
-    access: str = "stream"
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, flops: float = 0.0, bytes: float = 0.0,
+                dtype: str = "fp32", fixed: float = 0.0,
+                access: str = "stream") -> "WgCost":
         # flops/bytes may be columns over a scenario axis (repro.analytic);
-        # on scalars ``bad`` is a plain bool, so a valid cost (the DES
-        # builds one per task) never pays for np.any.
-        bad = (self.flops < 0) | (self.bytes < 0) | (self.fixed < 0)
+        # on scalars ``bad`` is a plain bool, so a valid cost never pays
+        # for np.any.
+        bad = (flops < 0) | (bytes < 0) | (fixed < 0)
         if bad is not False and np.any(bad):
             raise ValueError("WgCost components must be non-negative")
-        if self.access not in ("stream", "gather"):
-            raise ValueError(f"unknown access pattern {self.access!r}")
+        if access != "stream" and access != "gather":
+            raise ValueError(f"unknown access pattern {access!r}")
+        return _tuple_new(cls, (flops, bytes, dtype, fixed, access))
 
     def plus(self, flops: float = 0.0, bytes: float = 0.0,
              fixed: float = 0.0) -> "WgCost":
@@ -105,14 +111,14 @@ class KernelResources:
             raise ValueError("lds_per_wg must be >= 0")
 
 
-@dataclass(frozen=True)
-class OccupancyInfo:
-    """Result of the occupancy calculation for a kernel on a device."""
+class OccupancyInfo(namedtuple(
+        "OccupancyInfo", "waves_per_wg wgs_per_cu resident_wgs fraction")):
+    """Result of the occupancy calculation for a kernel on a device:
+    waves per WG, WGs per CU, device-wide resident WGs, and the fraction
+    of the device's wave slots they fill.  An immutable record like
+    :class:`WgCost`."""
 
-    waves_per_wg: int
-    wgs_per_cu: int
-    resident_wgs: int       #: device-wide resident workgroups
-    fraction: float         #: resident waves / device wave slots
+    __slots__ = ()
 
     def limited_to(self, max_resident: int) -> "OccupancyInfo":
         """Clamp resident WGs (persistent kernels choose their grid size).

@@ -126,6 +126,31 @@ def test_device_model_is_memoized():
     assert device_model("mi210") is not device_model("h100")
 
 
+def test_equal_platforms_share_one_model_and_the_identity_map_is_bounded():
+    """Mapping-form platforms decode to a fresh object per call: each one
+    still gets the shared model, and the identity map does not grow."""
+    from repro.analytic import device as device_mod
+    params = get_platform("mi300x").to_params()
+    shared = device_model("mi300x")
+    for _ in range(3 * device_mod._IDENTITY_SLOTS):
+        assert device_model(params) is shared
+        assert len(device_mod._BY_IDENTITY) <= device_mod._IDENTITY_SLOTS
+
+
+@pytest.mark.parametrize("name", ["mi210", "h100"])
+def test_device_model_occupancy_of_its_own_footprints(name):
+    """The identity fast path for ``base_res``/``fused_res`` returns what
+    an equal, separately built footprint gets from the hashed memo."""
+    from repro.hw.gpu import KernelResources, occupancy_for
+    d = device_model(name)
+    for res in (d.base_res, d.fused_res):
+        twin = KernelResources(res.threads_per_wg, res.vgprs_per_thread,
+                               res.lds_per_wg)
+        assert twin is not res
+        assert d.occupancy(res) == d.occupancy(twin) == \
+            occupancy_for(d.spec, res)
+
+
 @pytest.mark.parametrize("name", ["mi210", "h100"])
 @pytest.mark.parametrize("batch,tables,sv,occ_frac", [
     (256, 16, 32, None), (1024, 64, 32, 0.5), (4096, 256, 16, 0.25),

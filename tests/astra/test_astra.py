@@ -143,6 +143,19 @@ def test_kernel_times_positive():
         assert getattr(t, f) > 0, f
 
 
+@pytest.mark.parametrize("platform", ["mi210", "mi300x", "h100"])
+def test_kernel_times_on_device_model_match_simulated_gpu(platform):
+    """The default device (the platform's memoized model) and a simulated
+    GPU give the same kernel times to the bit."""
+    from repro.hw.gpu import Gpu
+    from repro.hw.platform import get_platform
+    from repro.sim import Simulator
+    net = TorusNetwork.square_ish(64, TABLE2_TORUS)
+    gpu = Gpu(Simulator(), get_platform(platform).gpu, gpu_id=0)
+    assert repr(compute_kernel_times(TABLE2_DLRM, net, platform=platform)) \
+        == repr(compute_kernel_times(TABLE2_DLRM, net, gpu=gpu))
+
+
 def test_fig15_fused_reduces_128_node_training_by_about_21pct():
     """Paper Fig. 15: ~21% lower execution time at 128 nodes."""
     res = run_dlrm_scaleout(128)

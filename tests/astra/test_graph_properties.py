@@ -1,10 +1,13 @@
 """Property-based tests for execution-graph scheduling invariants."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.astra import ExecutionGraph
+from oracles import graph_simulate_legacy
 
 
 @st.composite
@@ -66,3 +69,31 @@ def test_spans_respect_dependencies_and_resources(dag):
                 sa, ea = spans[a]
                 sb, eb = spans[b]
                 assert ea <= sb + 1e-9 or eb <= sa + 1e-9, (a, b)
+
+
+@st.composite
+def tied_dag(draw):
+    """A random DAG whose durations come from a small pool, so that equal
+    start times are common.  Ints and NaN are in the pool too: with them
+    the order of ``max``'s arguments and of the start comparisons shows
+    in the result."""
+    n = draw(st.integers(1, 14))
+    g = ExecutionGraph()
+    for i in range(n):
+        deps = draw(st.lists(st.integers(0, i - 1), max_size=min(i, 3))
+                    ) if i else []
+        g.add(f"n{i}", draw(st.sampled_from(["comp", "net", "fused"])),
+              draw(st.sampled_from([0, 0.0, 1, 1.0, 0.5, 2.0, 3, math.nan])),
+              deps=[f"n{d}" for d in deps])
+    return g
+
+
+@given(tied_dag())
+@settings(max_examples=300, deadline=None)
+def test_ready_list_schedule_matches_legacy_scan(g):
+    """Same picks, times and types as rescanning every pending node:
+    makespan and spans equal by ``repr``, spans in the same key order."""
+    total, spans = g.simulate()
+    want_total, want_spans = graph_simulate_legacy(g)
+    assert repr(total) == repr(want_total)
+    assert repr(list(spans.items())) == repr(list(want_spans.items()))

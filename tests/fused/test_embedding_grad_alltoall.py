@@ -76,11 +76,10 @@ def test_timing_only_matches_functional_time_backward():
 
 
 def test_scatter_cost_pays_atomic_factor():
-    from repro.fused.embedding_grad_alltoall import _scatter_cost
     from repro.ops.embedding import embedding_wg_cost
 
     cfg = EmbeddingA2AConfig(**SMALL)
-    sc = _scatter_cost(cfg, 1)
+    sc = cfg.scatter_cost(1)
     fwd = embedding_wg_cost(cfg.pooling, cfg.dim)
     assert sc.bytes == pytest.approx(fwd.bytes * SCATTER_ATOMIC_FACTOR)
     assert sc.access == "gather"

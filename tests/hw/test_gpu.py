@@ -1,5 +1,8 @@
 """Tests for the GPU model: occupancy rules and workgroup timing."""
 
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.hw import MI210, Gpu, KernelResources, WgCost
@@ -78,6 +81,48 @@ def test_wgcost_validation():
     c = WgCost(flops=10, bytes=20, fixed=1e-6)
     c2 = c.plus(flops=5, fixed=1e-6)
     assert c2.flops == 15 and c2.fixed == pytest.approx(2e-6)
+
+
+@pytest.mark.parametrize("field", ["flops", "bytes", "fixed"])
+def test_wgcost_rejects_negative_scalars_and_columns(field):
+    with pytest.raises(ValueError, match="non-negative"):
+        WgCost(**{field: -1e-9})
+    with pytest.raises(ValueError, match="non-negative"):
+        WgCost(**{field: np.array([1.0, -1.0, 2.0])})
+    WgCost(**{field: np.array([0.0, 1.0])})         # a valid column
+
+
+def test_wgcost_rejects_unknown_access():
+    with pytest.raises(ValueError, match="access pattern"):
+        WgCost(bytes=1.0, access="random")
+    with pytest.raises(ValueError, match="access pattern"):
+        WgCost(1.0, 1.0, "fp32", 0.0, "strided")
+
+
+def test_wgcost_is_read_only():
+    c = WgCost(flops=1.0, bytes=2.0)
+    with pytest.raises(AttributeError):
+        c.flops = 3.0
+    with pytest.raises(AttributeError):
+        c.extra = 1
+
+
+def test_wgcost_and_occupancy_hash_pickle_and_compare_by_value(gpu):
+    c = WgCost(flops=1.0, bytes=2.0, dtype="fp16", fixed=1e-7,
+               access="gather")
+    same = WgCost(1.0, 2.0, "fp16", 1e-7, "gather")
+    assert c == same and hash(c) == hash(same)
+    assert c != c.plus(fixed=1e-9)
+    assert {c: "x"}[same] == "x"
+    assert repr(c) == ("WgCost(flops=1.0, bytes=2.0, dtype='fp16', "
+                       "fixed=1e-07, access='gather')")
+    occ = gpu.occupancy(gpu.fused_res)
+    for value in (c, occ, occ.limited_to(5)):
+        back = pickle.loads(pickle.dumps(value))
+        assert type(back) is type(value)
+        assert back == value and hash(back) == hash(value)
+    with pytest.raises(AttributeError):
+        occ.fraction = 1.0
 
 
 def test_memory_bound_wg_duration_scales_with_bytes(gpu):

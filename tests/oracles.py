@@ -1,8 +1,9 @@
 """Reference implementations the tests check production code against."""
 
-from typing import Callable, Iterable, List, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple, TypeVar
 
 from repro.analytic.explorer import dominates
+from repro.astra.graph import _RESOURCES, ExecutionGraph
 from repro.comm.shmem import FlagArray, _Countdown
 from repro.sim import Event
 
@@ -38,3 +39,33 @@ def flag_wait_all_legacy(flags: FlagArray, rank: int, idxs: Iterable[int],
     for i in pending:
         flags._waiters.setdefault((rank, i), []).append((value, countdown))
     return ev
+
+
+def graph_simulate_legacy(graph: ExecutionGraph
+                          ) -> Tuple[float, Dict[str, Tuple[float, float]]]:
+    """Rescan-every-pending-node list scheduling: the oracle for
+    :meth:`repro.astra.ExecutionGraph.simulate`'s ready list."""
+    free_at = {"comp": 0.0, "net": 0.0}
+    done: Dict[str, float] = {}
+    spans: Dict[str, Tuple[float, float]] = {}
+    pending = graph.nodes()
+    while pending:
+        best = None
+        best_start = None
+        for node in pending:
+            if any(d not in done for d in node.deps):
+                continue
+            ready = max((done[d] for d in node.deps), default=0.0)
+            start = max([ready] + [free_at[r]
+                                   for r in _RESOURCES[node.kind]])
+            if best_start is None or start < best_start:
+                best, best_start = node, start
+        if best is None:
+            raise ValueError("dependency cycle in execution graph")
+        end = best_start + best.duration
+        for r in _RESOURCES[best.kind]:
+            free_at[r] = end
+        done[best.name] = end
+        spans[best.name] = (best_start, end)
+        pending.remove(best)
+    return (max(done.values()) if done else 0.0), spans
