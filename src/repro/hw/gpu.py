@@ -345,7 +345,7 @@ class Gpu:
         self.fused_res = derived_fused_resources(spec)
         # Kernels ask for the same handful of (resources, cost, occupancy)
         # combinations thousands of times per launch; both calculations are
-        # pure functions of frozen dataclasses, so memoize per device.
+        # pure functions of immutable values, so memoize per device.
         self._occupancy_cache: dict = {}
         self._duration_cache: dict = {}
 

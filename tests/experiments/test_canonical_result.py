@@ -115,9 +115,3 @@ def test_copy_shares_no_container_with_the_result():
     result["rows"][0].append(3.0)
     result["meta"]["k"] = "changed"
     assert out == {"rows": [[1.0, 2.0]], "meta": {"k": "v"}}
-
-
-def test_non_dict_results_are_rejected():
-    for bad in ([1.0], 1.0, None, "x"):
-        with pytest.raises(TypeError, match="must return a dict"):
-            _canonical_result(bad)
