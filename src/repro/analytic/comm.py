@@ -9,10 +9,10 @@ Closed-form twins of the DES transport stack:
   overhead (the gamma term bounding message rate) while payload bandwidth
   is charged once at the destination port, so drains are pipelined
   cut-through exactly as :meth:`repro.hw.nic.Nic.rdma_put` models them.
-* **RCCL-like collectives** — structural mirrors of
-  :class:`repro.comm.collectives.CollectiveLibrary`'s timing-only variants
-  (launch, blit-kernel staging at :data:`BLIT_EFFICIENCY`, per-phase
-  barriers), which the DES itself evaluates in closed form per rank; for
+* **RCCL-like collectives** — the closed forms of the step schedules in
+  :mod:`repro.collectives` (launch, blit-kernel staging at
+  :data:`BLIT_EFFICIENCY`, per-phase barriers), whose DES generators
+  :class:`repro.comm.collectives.CollectiveLibrary` runs; for
   single-flow-per-link patterns the two engines agree exactly.
 """
 
@@ -48,8 +48,7 @@ class CommModel:
     """
 
     def __init__(self, platform: PlatformLike = None, num_nodes: int = 1,
-                 gpus_per_node: int = 4, cpu_proxy: bool = False,
-                 blit_efficiency: float = BLIT_EFFICIENCY):
+                 gpus_per_node: int = 4, cpu_proxy: bool = False):
         if num_nodes < 1 or gpus_per_node < 1:
             raise ValueError("cluster shape counts must be >= 1")
         self.platform = get_platform(platform)
@@ -60,7 +59,6 @@ class CommModel:
         self.gpus_per_node = gpus_per_node
         self.world = num_nodes * gpus_per_node
         self.cpu_proxy = cpu_proxy
-        self.blit_efficiency = blit_efficiency
 
     # -- GPU-initiated puts (fused-kernel transport) -------------------------
     def _proxy_latency(self) -> float:
@@ -109,7 +107,7 @@ class CommModel:
         if remote_node:
             return (self.nic.message_overhead + self.nic.latency
                     + nbytes / self.nic.bandwidth)
-        return self.link.latency + (nbytes / self.blit_efficiency
+        return self.link.latency + (nbytes / BLIT_EFFICIENCY
                                     / self.link.bandwidth)
 
     def nic_pipeline_time(self, n_msgs: int, msg_bytes: float,

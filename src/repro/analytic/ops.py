@@ -52,11 +52,10 @@ from ..fused.embedding_grad_alltoall import embedding_grad_plan
 from ..fused.gemm_alltoall import GemmA2AConfig, gemm_a2a_plan
 from ..fused.gemv_allreduce import GemvAllReduceConfig, gemv_allreduce_plan
 from ..hw.gpu import bulk_kernel_time, persistent_occupancy, task_time, wg_time
-from ..hw.platform import PlatformLike, get_platform
+from ..hw.platform import PlatformLike
 from ..ops.embedding import embedding_wg_cost
 from ..utils.xp import xp_of
 from .comm import FLAG_BYTES, CommModel
-from .device import device_model
 
 __all__ = [
     "predict_embedding_a2a",
@@ -103,16 +102,12 @@ def _queue_span(total_dur, n_tasks, slots):
 # Embedding + All-to-All (forward)
 # ---------------------------------------------------------------------------
 
-def _embedding_fused_time(num_nodes: int, gpus_per_node: int,
-                          cfg: EmbeddingA2AConfig,
-                          platform: PlatformLike = None,
-                          cpu_proxy: bool = False) -> Dict[str, float]:
-    """Fused embedding+A2A span plus the put-issue window (for Fig. 11)."""
-    world = num_nodes * gpus_per_node
-    cfg.validate(world)
-    plat = get_platform(platform)
-    d = device_model(plat)
-    cm = CommModel(plat, num_nodes, gpus_per_node, cpu_proxy=cpu_proxy)
+def _embedding_fused_time(cm: CommModel,
+                          cfg: EmbeddingA2AConfig) -> Dict[str, float]:
+    """Fused embedding+A2A span plus the put-issue window (for Fig. 11)
+    on ``cm``'s cluster; ``cfg`` is validated for ``cm.world``."""
+    gpus_per_node, world = cm.gpus_per_node, cm.world
+    d = cm.device
     spec = d.spec
     xp = xp_of(cfg.global_batch, cfg.tables_per_gpu, cfg.slice_vectors)
 
@@ -183,19 +178,15 @@ def _embedding_fused_time(num_nodes: int, gpus_per_node: int,
             "puts_per_remote_dest": msgs}
 
 
-def _embedding_baseline_time(num_nodes: int, gpus_per_node: int,
-                             cfg: EmbeddingA2AConfig,
-                             platform: PlatformLike = None) -> float:
-    """Per-table bulk pooling kernels, then the RCCL-like All-to-All."""
-    world = num_nodes * gpus_per_node
-    cfg.validate(world)
-    plat = get_platform(platform)
-    d = device_model(plat)
-    cm = CommModel(plat, num_nodes, gpus_per_node)
+def _embedding_baseline_time(cm: CommModel, cfg: EmbeddingA2AConfig) -> float:
+    """Per-table bulk pooling kernels, then the RCCL-like All-to-All, on
+    ``cm``'s cluster; ``cfg`` is validated for ``cm.world``."""
+    d = cm.device
     cost = embedding_wg_cost(cfg.pooling, cfg.dim, ITEMSIZE)
     compute = cfg.tables_per_gpu * bulk_kernel_time(
         d, cfg.global_batch, cost, d.base_res)
-    return compute + cm.alltoall_time(cfg.chunk_bytes(world), algo=cfg.algo)
+    return compute + cm.alltoall_time(cfg.chunk_bytes(cm.world),
+                                      algo=cfg.algo)
 
 
 def predict_embedding_a2a(num_nodes: int, gpus_per_node: int,
@@ -209,12 +200,14 @@ def predict_embedding_a2a(num_nodes: int, gpus_per_node: int,
     base_cfg = (cfg if baseline is None
                 else EmbeddingA2AConfig(functional=False,
                                         **{"algo": cfg.algo, **baseline}))
-    fused = _embedding_fused_time(num_nodes, gpus_per_node, cfg,
-                                  platform=platform)
+    world = num_nodes * gpus_per_node
+    cfg.validate(world)
+    if base_cfg is not cfg:
+        base_cfg.validate(world)
+    cm = CommModel(platform, num_nodes, gpus_per_node)
     return {
-        "fused_time": fused["elapsed"],
-        "baseline_time": _embedding_baseline_time(
-            num_nodes, gpus_per_node, base_cfg, platform=platform),
+        "fused_time": _embedding_fused_time(cm, cfg)["elapsed"],
+        "baseline_time": _embedding_baseline_time(cm, base_cfg),
     }
 
 
@@ -226,9 +219,11 @@ def predict_embedding_fused(num_nodes: int = 2, gpus_per_node: int = 1,
     the slice/proxy ablations).  Rank timelines are symmetric in closed
     form, so every rank reports the same end time (zero predicted skew)."""
     cfg = EmbeddingA2AConfig(functional=False, **cfg_fields)
-    fused = _embedding_fused_time(num_nodes, gpus_per_node, cfg,
-                                  platform=platform, cpu_proxy=cpu_proxy)
     world = num_nodes * gpus_per_node
+    cfg.validate(world)
+    fused = _embedding_fused_time(
+        CommModel(platform, num_nodes, gpus_per_node, cpu_proxy=cpu_proxy),
+        cfg)
     return {
         "elapsed": fused["elapsed"],
         "rank_end_times": {str(r): fused["elapsed"] for r in range(world)},
@@ -246,9 +241,8 @@ def predict_embedding_grad_a2a(num_nodes: int = 2, gpus_per_node: int = 1,
     cfg = EmbeddingA2AConfig(functional=False, **cfg_fields)
     world = num_nodes * gpus_per_node
     cfg.validate(world)
-    plat = get_platform(platform)
-    d = device_model(plat)
-    cm = CommModel(plat, num_nodes, gpus_per_node)
+    cm = CommModel(platform, num_nodes, gpus_per_node)
+    d = cm.device
     spec = d.spec
     xp = xp_of(cfg.global_batch, cfg.tables_per_gpu, cfg.slice_vectors,
                cfg.dim)
@@ -303,9 +297,8 @@ def predict_gemv_allreduce(world: int = 4, platform: PlatformLike = None,
     """Analytic twin of the ``gemv_allreduce_pair`` runner."""
     cfg = GemvAllReduceConfig(functional=False, **cfg_fields)
     cfg.validate(world)
-    plat = get_platform(platform)
-    d = device_model(plat)
-    cm = CommModel(plat, num_nodes=1, gpus_per_node=world)
+    cm = CommModel(platform, num_nodes=1, gpus_per_node=world)
+    d = cm.device
     spec = d.spec
     xp = xp_of(cfg.m, cfg.n_per_gpu, cfg.tile_rows, cfg.itemsize)
 
@@ -355,9 +348,8 @@ def predict_gemm_a2a(world: int = 4, platform: PlatformLike = None,
     """Analytic twin of the ``gemm_a2a_pair`` runner."""
     cfg = GemmA2AConfig(functional=False, **cfg_fields)
     cfg.validate(world)
-    plat = get_platform(platform)
-    d = device_model(plat)
-    cm = CommModel(plat, num_nodes=1, gpus_per_node=world)
+    cm = CommModel(platform, num_nodes=1, gpus_per_node=world)
+    d = cm.device
     spec = d.spec
 
     grid_m, grid_n = cfg.grid()
@@ -424,7 +416,8 @@ def _wg_timeline_values(batch: int = 512, tables: int = 32,
     cfg = EmbeddingA2AConfig(global_batch=batch, tables_per_gpu=tables,
                              functional=False, slice_vectors=wgs_per_slice,
                              tasks_per_slice=wgs_per_slice)
-    fused = _embedding_fused_time(2, 1, cfg, platform=platform)
+    cfg.validate(2)
+    fused = _embedding_fused_time(CommModel(platform, 2, 1), cfg)
     kspan = fused["elapsed"]
     return {"_kernel_time_s": kspan,
             "_first_put_frac": fused["first_issue"] / kspan,

@@ -7,9 +7,8 @@ evaluates.  The barriers between rounds are what make the two engines
 agree exactly: within a round every transfer runs on its own directed
 fabric link or through the NIC pipeline the analytic model mirrors.
 
-``direct`` and ``ring`` are the legacy schedules (previously hard-coded
-in ``CollectiveLibrary.all_reduce_bytes``); their generators are the
-same code relocated, so ``algo=None`` timings are bit-identical.
+``direct`` (one node) and ``ring`` (across nodes) are the legacy
+schedules ``algo=None`` resolves to.
 """
 
 from __future__ import annotations

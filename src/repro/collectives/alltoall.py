@@ -1,8 +1,8 @@
 """All-to-All schedules: flat, pairwise, hierarchical two-stage.
 
-``flat`` is the legacy RCCL-like schedule (previously hard-coded in
-``CollectiveLibrary.all_to_all_bytes``): every rank fires all of its
-chunks at once, so a node's off-node chunks pile into the shared NIC.
+``flat`` is the legacy RCCL-like schedule ``algo=None`` resolves to:
+every rank fires all of its chunks at once, so a node's off-node chunks
+pile into the shared NIC.
 ``pairwise`` serializes the exchange into ``p-1`` barriered rounds;
 ``hier`` stages intra-node traffic over the fabric so the NIC carries
 ``gpus_per_node`` times fewer (and larger) messages.

@@ -2,16 +2,20 @@
 
 This is the comparison point for every fused operator in the paper: separate
 computation and communication *kernels* executing at kernel boundaries.
-The step schedules themselves live in :mod:`repro.collectives` — a
-pluggable menu of ring/tree/direct/hierarchical AllReduce and
-flat/pairwise/hierarchical All-to-All variants selected with the
-``algorithm`` argument (``None`` keeps the legacy defaults the paper
-evaluates against; ``"auto"`` picks by message size and topology).
 Each collective here:
 
-* produces functionally exact outputs (NumPy), and
-* advances simulated time the way RCCL does on this hardware — a collective
-  kernel launch per rank, blit-kernel copies over the intra-node fabric, or
+* produces functionally exact outputs (NumPy) — the functional variants
+  :meth:`CollectiveLibrary.all_to_all` and
+  :meth:`CollectiveLibrary.all_reduce` validate their inputs and compute
+  them, and
+* advances simulated time through the matching timing-only variant
+  (``*_bytes``), which runs a step schedule from :mod:`repro.collectives`
+  — a pluggable menu of ring/tree/direct/hierarchical AllReduce and
+  flat/pairwise/hierarchical All-to-All selected with the ``algorithm``
+  argument (``None`` keeps the legacy defaults the paper evaluates
+  against; ``"auto"`` picks by message size and topology).  A schedule
+  moves data the way RCCL does on this hardware: a collective kernel
+  launch per rank, blit-kernel copies over the intra-node fabric, or
   GPU-direct RDMA transfers between nodes.
 
 All methods are generators meant to run inside a simulation process::
@@ -27,7 +31,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..collectives import CommTopology, resolve_allreduce, resolve_alltoall
-from ..hw.gpu import copy_time, reduce_time
 from ..hw.topology import Cluster
 from ..sim import Simulator
 
@@ -48,20 +51,12 @@ BLIT_EFFICIENCY = 0.55
 class CollectiveLibrary:
     """Bulk-synchronous collectives over a :class:`~repro.hw.Cluster`."""
 
-    def __init__(self, cluster: Cluster, launch_overhead: bool = True,
-                 blit_efficiency: float = BLIT_EFFICIENCY):
-        if not (0.0 < blit_efficiency <= 1.0):
-            raise ValueError(
-                f"blit_efficiency must be in (0, 1], got {blit_efficiency}")
+    def __init__(self, cluster: Cluster):
         self.cluster = cluster
         self.sim: Simulator = cluster.sim
-        self.launch_overhead = launch_overhead
-        self.blit_efficiency = blit_efficiency
 
     # -- helpers ---------------------------------------------------------------
     def _launch_delay(self) -> float:
-        if not self.launch_overhead:
-            return 0.0
         return self.cluster.gpus[0].spec.kernel_launch_overhead
 
     def _route(self, src_rank: int, dst_rank: int, nbytes: float):
@@ -74,7 +69,7 @@ class CollectiveLibrary:
         if src.node_id == dst.node_id:
             # Blit-kernel staging: the copy engine sustains only a fraction
             # of the link's peak, modelled as inflated on-the-wire time.
-            return src.store_remote(dst, nbytes / self.blit_efficiency)
+            return src.store_remote(dst, nbytes / BLIT_EFFICIENCY)
         return src.rdma_put(dst, nbytes)
 
     def _run_ranks(self, rank_gens):
@@ -98,14 +93,15 @@ class CollectiveLibrary:
         """
         if chunk_bytes < 0:
             raise ValueError("chunk_bytes must be >= 0")
-        algo = resolve_alltoall(algorithm, self.topology(), chunk_bytes)
-        yield from algo.des_run(self, self.topology(), chunk_bytes)
+        topo = self.topology()
+        algo = resolve_alltoall(algorithm, topo, chunk_bytes)
+        yield from algo.des_run(self, topo, chunk_bytes)
         return None
 
     def all_reduce_bytes(self, nbytes: float, n_elems: int, itemsize: int = 4,
                          algorithm: Optional[str] = None) -> "Generator":
         """Timing-only AllReduce of an ``nbytes`` buffer (``n_elems``
-        elements) — same step structure as :meth:`all_reduce`.
+        elements of ``itemsize`` bytes); no functional payload.
 
         ``algorithm`` names a schedule from :mod:`repro.collectives`
         (``"direct"``, ``"ring"``, ``"tree"``, ``"hier"``, or ``"auto"``
@@ -122,11 +118,14 @@ class CollectiveLibrary:
         yield from algo.des_run(self, topo, nbytes, n_elems, itemsize)
         return None
 
-    # -- All-to-All ------------------------------------------------------------
-    def all_to_all(self, sends: Sequence[np.ndarray]) -> "Generator":
+    # -- functional variants ---------------------------------------------------
+    def all_to_all(self, sends: Sequence[np.ndarray],
+                   algorithm: Optional[str] = None) -> "Generator":
         """All-to-All: ``out[r][s] = sends[s][r]``.
 
-        Each ``sends[r]`` must have leading dimension ``world``.
+        Each ``sends[r]`` must have leading dimension ``world``; the
+        timing is :meth:`all_to_all_bytes` of one ``sends[0][0]`` chunk
+        under ``algorithm``.
         """
         world = self.cluster.world_size
         if len(sends) != world:
@@ -137,35 +136,15 @@ class CollectiveLibrary:
                     f"send buffer {r} leading dim {s.shape[0]} != world {world}")
         outs = [np.stack([sends[s][r] for s in range(world)])
                 for r in range(world)]
-
-        chunk_bytes = float(sends[0][0].nbytes)
-        launch = self._launch_delay()
-
-        def rank_proc(r):
-            if launch:
-                yield self.sim.timeout(launch)
-            evs = []
-            for dst in range(world):
-                if dst == r:
-                    evs.append(self.sim.timeout(
-                        copy_time(self.cluster.gpu(r), chunk_bytes)))
-                else:
-                    evs.append(self._route(r, dst, chunk_bytes))
-            yield self.sim.all_of(evs)
-
-        yield from self._run_ranks(rank_proc(r) for r in range(world))
+        yield from self.all_to_all_bytes(float(sends[0][0].nbytes), algorithm)
         return outs
 
-    # -- AllReduce ------------------------------------------------------------
     def all_reduce(self, arrays: Sequence[np.ndarray],
                    algorithm: Optional[str] = None) -> "Generator":
         """Sum-AllReduce across ranks; returns the reduced array per rank.
 
-        ``algorithm``: any schedule registered in
-        :mod:`repro.collectives` ("direct", "ring", "tree", "hier", or
-        "auto").  Defaults to "direct" for a single node, "ring"
-        otherwise.  The reduced values are schedule-independent; the
-        algorithm shapes the simulated timing.
+        The reduced values are schedule-independent; the timing is
+        :meth:`all_reduce_bytes` of one rank's buffer under ``algorithm``.
         """
         world = self.cluster.world_size
         if len(arrays) != world:
@@ -176,137 +155,7 @@ class CollectiveLibrary:
 
         total = np.sum(np.stack(arrays), axis=0, dtype=arrays[0].dtype)
         outs = [total.copy() for _ in range(world)]
-        if algorithm is None:
-            algorithm = "direct" if self.cluster.num_nodes == 1 else "ring"
-        if algorithm not in ("direct", "ring"):
-            # Non-legacy schedules: validate through the registry and run
-            # the matching timing-only schedule (same rounds, no payload
-            # re-walk — the functional result is already in ``outs``).
-            yield from self.all_reduce_bytes(
-                float(arrays[0].nbytes), int(arrays[0].size),
-                itemsize=arrays[0].dtype.itemsize, algorithm=algorithm)
-            return outs
-        if world == 1:
-            yield self.sim.timeout(self._launch_delay())
-            return outs
-
-        nbytes = float(arrays[0].nbytes)
-        n_elems = int(arrays[0].size)
-        itemsize = arrays[0].dtype.itemsize
-        launch = self._launch_delay()
-
-        if algorithm == "direct":
-            chunk_bytes = nbytes / world
-            # Same rounding as the timing-only path (all_reduce_bytes),
-            # so both spellings of one schedule report identical times.
-            chunk_elems = max(1, n_elems // world)
-
-            def rank_proc(r):
-                if launch:
-                    yield self.sim.timeout(launch)
-                # Phase 1 — reduce-scatter: send my copy of chunk j to rank j.
-                evs = [self._route(r, dst, chunk_bytes)
-                       for dst in range(world) if dst != r]
-                yield self.sim.all_of(evs)
-                yield self.sim.timeout(reduce_time(
-                    self.cluster.gpu(r), chunk_elems, world, itemsize))
-                # Phase 2 — all-gather: broadcast my reduced chunk.
-                evs = [self._route(r, dst, chunk_bytes)
-                       for dst in range(world) if dst != r]
-                yield self.sim.all_of(evs)
-
-            yield from self._run_ranks(rank_proc(r) for r in range(world))
-            return outs
-
-        # Ring: 2(p-1) lock-stepped rounds of n/p chunks.
-        chunk_bytes = nbytes / world
-        chunk_elems = max(1, n_elems // world)
-
-        def ring_round(reduce_phase: bool):
-            def rank_proc(r):
-                yield self._route(r, (r + 1) % world, chunk_bytes)
-                if reduce_phase:
-                    yield self.sim.timeout(reduce_time(
-                        self.cluster.gpu(r), chunk_elems, 2, itemsize))
-            yield from self._run_ranks(rank_proc(r) for r in range(world))
-
-        if launch:
-            yield self.sim.timeout(launch)
-        for _ in range(world - 1):
-            yield from ring_round(reduce_phase=True)
-        for _ in range(world - 1):
-            yield from ring_round(reduce_phase=False)
-        return outs
-
-    # -- ReduceScatter ---------------------------------------------------------
-    def reduce_scatter(self, arrays: Sequence[np.ndarray]) -> "Generator":
-        """out[r] = sum_s arrays[s][r]; inputs have leading dim ``world``."""
-        world = self.cluster.world_size
-        if len(arrays) != world:
-            raise ValueError(f"need {world} arrays, got {len(arrays)}")
-        for a in arrays:
-            if a.shape[0] != world:
-                raise ValueError("reduce_scatter inputs need leading dim world")
-        outs = [np.sum(np.stack([arrays[s][r] for s in range(world)]), axis=0,
-                       dtype=arrays[0].dtype)
-                for r in range(world)]
-        if world == 1:
-            yield self.sim.timeout(self._launch_delay())
-            return outs
-
-        chunk_bytes = float(arrays[0][0].nbytes)
-        chunk_elems = int(arrays[0][0].size)
-        itemsize = arrays[0].dtype.itemsize
-        launch = self._launch_delay()
-
-        def rank_proc(r):
-            if launch:
-                yield self.sim.timeout(launch)
-            evs = [self._route(r, dst, chunk_bytes)
-                   for dst in range(world) if dst != r]
-            yield self.sim.all_of(evs)
-            yield self.sim.timeout(reduce_time(
-                self.cluster.gpu(r), chunk_elems, world, itemsize))
-
-        yield from self._run_ranks(rank_proc(r) for r in range(world))
-        return outs
-
-    # -- AllGather ------------------------------------------------------------
-    def all_gather(self, chunks: Sequence[np.ndarray]) -> "Generator":
-        """out[r] = stack(chunks[0..world-1]) on every rank."""
-        world = self.cluster.world_size
-        if len(chunks) != world:
-            raise ValueError(f"need {world} chunks, got {len(chunks)}")
-        gathered = np.stack(list(chunks))
-        outs = [gathered.copy() for _ in range(world)]
-        if world == 1:
-            yield self.sim.timeout(self._launch_delay())
-            return outs
-
-        chunk_bytes = float(chunks[0].nbytes)
-        launch = self._launch_delay()
-
-        def rank_proc(r):
-            if launch:
-                yield self.sim.timeout(launch)
-            evs = [self._route(r, dst, chunk_bytes)
-                   for dst in range(world) if dst != r]
-            yield self.sim.all_of(evs)
-
-        yield from self._run_ranks(rank_proc(r) for r in range(world))
-        return outs
-
-    # -- Broadcast ------------------------------------------------------------
-    def broadcast(self, array: np.ndarray, root: int = 0) -> "Generator":
-        """Copy ``array`` from ``root`` to every rank."""
-        world = self.cluster.world_size
-        if not (0 <= root < world):
-            raise ValueError(f"bad root {root}")
-        outs = [array.copy() for _ in range(world)]
-        nbytes = float(array.nbytes)
-        if self.launch_overhead:
-            yield self.sim.timeout(self._launch_delay())
-        evs = [self._route(root, dst, nbytes)
-               for dst in range(world) if dst != root]
-        yield self.sim.all_of(evs)
+        yield from self.all_reduce_bytes(
+            float(arrays[0].nbytes), int(arrays[0].size),
+            arrays[0].dtype.itemsize, algorithm)
         return outs

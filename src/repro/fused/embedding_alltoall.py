@@ -36,6 +36,7 @@ from typing import Any, Dict, List, NamedTuple, Optional
 
 import numpy as np
 
+from ..collectives import check_algo
 from ..comm.shmem import FlagArray
 from ..hw.gpu import WgCost, bulk_kernel_time
 from ..kernels import WgTask, get_scheduler
@@ -82,7 +83,6 @@ class EmbeddingA2AConfig:
         """Reject invalid configs; numeric fields may be columns over a
         scenario axis (the analytic backend), and the message then names
         the first offending row."""
-        from ..collectives import check_algo
         check_algo("alltoall", self.algo)
         tps, sv = self.tasks_per_slice, self.slice_vectors
         xp = xp_of(self.global_batch, self.tables_per_gpu, sv, tps)
@@ -427,7 +427,8 @@ class BaselineEmbeddingAllToAll:
                 stacked = np.stack(pooled_all[r], axis=1)  # (B, T, dim)
                 sends.append(stacked.reshape(
                     world, local, cfg.tables_per_gpu, cfg.dim))
-            outs = yield from self.comm.collectives.all_to_all(sends)
+            outs = yield from self.comm.collectives.all_to_all(
+                sends, algorithm=cfg.algo)
             # (world, local, T, dim) -> (local, world*T, dim)
             return [o.transpose(1, 0, 2, 3).reshape(
                 local, world * cfg.tables_per_gpu, cfg.dim) for o in outs]

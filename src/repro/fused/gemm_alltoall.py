@@ -25,6 +25,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from ..collectives import check_algo
 from ..frameworks.triton import build_tasks, jit, tl
 from ..hw.gpu import WgCost, bulk_kernel_time
 from ..kernels import WgTask, get_scheduler
@@ -63,7 +64,6 @@ class GemmA2AConfig:
         """Reject invalid configs; numeric fields may be columns over a
         scenario axis (the analytic backend), and the message then names
         the first offending row."""
-        from ..collectives import check_algo
         check_algo("alltoall", self.algo)
         xp = xp_of(self.tokens, self.model_dim, self.ffn_dim, self.block_m,
                    self.block_n)

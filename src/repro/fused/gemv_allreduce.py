@@ -35,6 +35,7 @@ from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
+from ..collectives import check_algo
 from ..hw.gpu import WgCost, bulk_kernel_time
 from ..kernels import WgTask, get_scheduler
 from ..ops.gemv import gemv, gemv_wg_cost, split_tiles
@@ -69,7 +70,6 @@ class GemvAllReduceConfig:
         """Reject invalid configs; numeric fields may be columns over a
         scenario axis (the analytic backend), and the message then names
         the first offending row."""
-        from ..collectives import check_algo
         check_algo("allreduce", self.algo)
         xp = xp_of(self.m, self.n_per_gpu, self.tile_rows)
         if xp.any((self.m < 1) | (self.n_per_gpu < 1)):

@@ -133,48 +133,56 @@ def test_allreduce_validation():
 
 
 # ---------------------------------------------------------------------------
-# ReduceScatter / AllGather / Broadcast
+# Pinned timings
 # ---------------------------------------------------------------------------
 
-def test_reduce_scatter_semantics():
-    sim, cluster, lib = make()
-    arrays = rng_arrays(4, (4, 32), seed=5)
-    outs = run(sim, lib.reduce_scatter(arrays))
-    for r in range(4):
-        expected = np.sum(np.stack([arrays[s][r] for s in range(4)]), axis=0)
-        np.testing.assert_allclose(outs[r], expected, rtol=1e-6)
+#: ``sim.now`` after one functional collective of ``elems`` float32 elements
+#: per rank (All-to-All: per chunk, default schedule), keyed by (nodes,
+#: gpus per node, elems, collective, algorithm).  The values were recorded
+#: from the functional collectives' former inline direct, ring and flat
+#: schedules, so they pin that timing through the registered schedules
+#: moved no result.
+PINNED_TIMES = {
+    (1, 4, 4096, "ar", None): 1.0796181818181819e-05,
+    (1, 4, 4096, "ar", "direct"): 1.0796181818181819e-05,
+    (1, 4, 4096, "ar", "ring"): 1.2373545454545461e-05,
+    (1, 4, 4096, "a2a", None): 1.0672363636363636e-05,
+    (1, 4, 262144, "ar", None): 2.3155636363636365e-05,
+    (1, 4, 262144, "ar", "direct"): 2.3155636363636365e-05,
+    (1, 4, 262144, "ar", "ring"): 4.85069090909091e-05,
+    (1, 4, 262144, "a2a", None): 3.413127272727273e-05,
+    (2, 1, 4096, "ar", None): 1.44292e-05,
+    (2, 1, 4096, "ar", "direct"): 1.44292e-05,
+    (2, 1, 4096, "ar", "ring"): 1.44292e-05,
+    (2, 1, 4096, "a2a", None): 1.26192e-05,
+    (2, 1, 262144, "ar", None): 6.66688e-05,
+    (2, 1, 262144, "ar", "direct"): 6.66688e-05,
+    (2, 1, 262144, "ar", "ring"): 6.66688e-05,
+    (2, 1, 262144, "a2a", None): 6.42288e-05,
+    (2, 2, 4096, "ar", None): 2.20438e-05,
+    (2, 2, 4096, "ar", "direct"): 1.5219600000000002e-05,
+    (2, 2, 4096, "ar", "ring"): 2.20438e-05,
+    (2, 2, 4096, "a2a", None): 1.5076800000000001e-05,
+    (2, 2, 262144, "ar", None): 0.00010040319999999997,
+    (2, 2, 262144, "ar", "direct"): 0.00011665759999999998,
+    (2, 2, 262144, "ar", "ring"): 0.00010040319999999997,
+    (2, 2, 262144, "a2a", None): 0.00022151520000000002,
+}
 
 
-def test_all_gather_semantics():
-    sim, cluster, lib = make()
-    chunks = rng_arrays(4, (16,), seed=7)
-    outs = run(sim, lib.all_gather(chunks))
-    expected = np.stack(chunks)
-    for out in outs:
-        np.testing.assert_array_equal(out, expected)
-
-
-def test_broadcast_semantics():
-    sim, cluster, lib = make()
-    src = np.arange(64, dtype=np.float32)
-    outs = run(sim, lib.broadcast(src, root=2))
-    for out in outs:
-        np.testing.assert_array_equal(out, src)
-    with pytest.raises(ValueError):
-        run(Simulator(), lib.broadcast(src, root=10))
-
-
-def test_launch_overhead_toggle():
-    sim, cluster, _ = make(1, 2)
-    lib_no = CollectiveLibrary(cluster, launch_overhead=False)
-    tiny = [np.zeros((2, 1), np.float32) for _ in range(2)]
-
-    def proc(sim):
-        yield from lib_no.all_to_all(tiny)
-        return sim.now
-
-    end = run(sim, proc(sim))
-    assert end < MI210.kernel_launch_overhead
+@pytest.mark.parametrize("key", list(PINNED_TIMES),
+                         ids=lambda k: "-".join(map(str, k)))
+def test_functional_timing_pinned(key):
+    nodes, gpn, elems, kind, algorithm = key
+    sim, cluster, lib = make(nodes, gpn)
+    world = cluster.world_size
+    if kind == "ar":
+        arrays = [np.ones(elems, np.float32) for _ in range(world)]
+        run(sim, lib.all_reduce(arrays, algorithm=algorithm))
+    else:
+        sends = [np.ones((world, elems), np.float32) for _ in range(world)]
+        run(sim, lib.all_to_all(sends))
+    assert sim.now == PINNED_TIMES[key]
 
 
 def test_allreduce_consistent_with_communicator():

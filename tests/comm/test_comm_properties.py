@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.collectives import AUTO, allreduce_names, alltoall_names
 from repro.comm import Communicator
 from repro.hw import build_cluster
 from repro.sim import Simulator
@@ -52,23 +53,6 @@ def test_alltoall_is_transpose_involution(world_shape, elems, seed):
     twice = sim.run_process(comm.collectives.all_to_all(once))
     for orig, back in zip(sends, twice):
         np.testing.assert_array_equal(orig, back)
-
-
-@given(elems=st.integers(4, 64), seed=st.integers(0, 10 ** 6))
-@settings(max_examples=20, deadline=None)
-def test_reduce_scatter_then_allgather_equals_allreduce(elems, seed):
-    sim, cluster, comm = make_env()
-    world = cluster.world_size
-    rng = np.random.default_rng(seed)
-    arrays = [rng.standard_normal((world, elems)).astype(np.float32)
-              for _ in range(world)]
-    rs = sim.run_process(comm.collectives.reduce_scatter(arrays))
-    ag = sim.run_process(comm.collectives.all_gather(rs))
-    flat = [a.reshape(world * elems) for a in arrays]
-    ar = sim.run_process(comm.collectives.all_reduce(flat))
-    for rank in range(world):
-        np.testing.assert_allclose(ag[rank].reshape(-1), ar[rank],
-                                   rtol=1e-5, atol=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -144,24 +128,46 @@ def test_fence_orders_only_target_destination(sizes, data):
 # Timing-model sanity under random configuration
 # ---------------------------------------------------------------------------
 
-@given(nbytes=st.integers(1 << 10, 1 << 24))
-@settings(max_examples=20, deadline=None)
-def test_allreduce_bytes_matches_functional_structure(nbytes):
-    """Timing-only AllReduce takes exactly as long as the functional one
-    with equal wire bytes."""
-    elems = nbytes // 4
+TIMING_SHAPES = [(1, 4), (2, 1), (2, 2)]
 
-    sim1, _c1, comm1 = make_env()
-    arrays = [np.zeros(elems, np.float32) for _ in range(4)]
-    sim1.run_process(comm1.collectives.all_reduce(arrays,
-                                                  algorithm="direct"))
-    t_functional = sim1.now
 
-    sim2, _c2, comm2 = make_env()
-    sim2.run_process(comm2.collectives.all_reduce_bytes(
-        float(elems * 4), elems, algorithm="direct"))
-    t_bytes = sim2.now
-    assert t_bytes == pytest.approx(t_functional, rel=1e-9)
+@given(elems=st.integers(1, 1 << 22))
+@settings(max_examples=10, deadline=None)
+def test_allreduce_bytes_matches_functional_structure(elems):
+    """Functional AllReduce takes exactly as long as the timing-only one
+    with equal wire bytes, under every schedule and the default."""
+    for nodes, gpn in TIMING_SHAPES:
+        for algorithm in [None, AUTO, *allreduce_names()]:
+            sim1, c1, comm1 = make_env(nodes, gpn)
+            arrays = [np.zeros(elems, np.float32)
+                      for _ in range(c1.world_size)]
+            sim1.run_process(comm1.collectives.all_reduce(
+                arrays, algorithm=algorithm))
+
+            sim2, _c2, comm2 = make_env(nodes, gpn)
+            sim2.run_process(comm2.collectives.all_reduce_bytes(
+                float(elems * 4), elems, algorithm=algorithm))
+            assert sim1.now == sim2.now, (nodes, gpn, algorithm)
+
+
+@given(elems=st.integers(1, 1 << 16))
+@settings(max_examples=10, deadline=None)
+def test_alltoall_bytes_matches_functional_structure(elems):
+    """Functional All-to-All takes exactly as long as the timing-only one
+    with equal chunk bytes, under every schedule and the default."""
+    for nodes, gpn in TIMING_SHAPES:
+        for algorithm in [None, AUTO, *alltoall_names()]:
+            sim1, c1, comm1 = make_env(nodes, gpn)
+            world = c1.world_size
+            sends = [np.zeros((world, elems), np.float32)
+                     for _ in range(world)]
+            sim1.run_process(comm1.collectives.all_to_all(
+                sends, algorithm=algorithm))
+
+            sim2, _c2, comm2 = make_env(nodes, gpn)
+            sim2.run_process(comm2.collectives.all_to_all_bytes(
+                float(elems * 4), algorithm=algorithm))
+            assert sim1.now == sim2.now, (nodes, gpn, algorithm)
 
 
 def test_cpu_proxy_adds_latency_per_message():

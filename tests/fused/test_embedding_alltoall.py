@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.collectives import AUTO, alltoall_names
 from repro.fused.base import OpHarness
 from repro.fused.embedding_alltoall import (
     BaselineEmbeddingAllToAll,
@@ -104,6 +105,19 @@ def test_timing_only_matches_functional_time():
         h = OpHarness(num_nodes=2, gpus_per_node=1)
         times[functional] = h.run(FusedEmbeddingAllToAll(h, cfg)).elapsed
     assert times[True] == pytest.approx(times[False], rel=1e-9)
+
+
+@pytest.mark.parametrize("algo", [None, AUTO, *alltoall_names()])
+@pytest.mark.parametrize("nodes,gpn", [(2, 2), (2, 1), (1, 4)])
+def test_baseline_timing_only_matches_functional_time(nodes, gpn, algo):
+    """The baseline's functional All-to-All runs the configured schedule."""
+    times = {}
+    for functional in (True, False):
+        cfg = EmbeddingA2AConfig(**{**SMALL, "functional": functional,
+                                    "algo": algo})
+        h = OpHarness(num_nodes=nodes, gpus_per_node=gpn)
+        times[functional] = h.run(BaselineEmbeddingAllToAll(h, cfg)).elapsed
+    assert times[True] == times[False]
 
 
 def test_fused_occupancy_is_87_5_pct():
