@@ -21,7 +21,9 @@ Each closed form exists once, written against the minimal array namespace
 of :mod:`repro.utils.xp`: called with Python scalars it answers one
 scenario in builtins, called with NumPy columns it answers a whole
 scenario axis — which is all :class:`ScenarioBatch` does, so the batch
-engine is bit-identical to ``predict_*`` by construction.
+engine is bit-identical to ``predict_*`` by construction.  The engine
+declares only which parameters are numeric knobs; defaults, validation
+and result shapes all come from the closed forms.
 
 Calibration caveat: every platform inherits the HBM concurrency ramp and
 contention knee fitted once against the paper's Fig. 13 on the MI210 (see

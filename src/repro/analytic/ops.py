@@ -195,11 +195,7 @@ def predict_embedding_a2a(num_nodes: int, gpus_per_node: int,
                           **cfg_fields: Any) -> Dict[str, float]:
     """Analytic twin of the ``embedding_a2a_pair`` runner."""
     cfg = EmbeddingA2AConfig(functional=False, **cfg_fields)
-    # The baseline override inherits the collective schedule unless it
-    # names its own (the algo axis compares like against like).
-    base_cfg = (cfg if baseline is None
-                else EmbeddingA2AConfig(functional=False,
-                                        **{"algo": cfg.algo, **baseline}))
+    base_cfg = cfg.baseline_config(baseline)
     world = num_nodes * gpus_per_node
     cfg.validate(world)
     if base_cfg is not cfg:
@@ -418,35 +414,44 @@ def _wg_timeline_values(batch: int = 512, tables: int = 32,
                              tasks_per_slice=wgs_per_slice)
     cfg.validate(2)
     fused = _embedding_fused_time(CommModel(platform, 2, 1), cfg)
-    kspan = fused["elapsed"]
-    return {"_kernel_time_s": kspan,
-            "_first_put_frac": fused["first_issue"] / kspan,
-            "_last_put_frac": fused["last_issue"] / kspan,
-            "_elapsed_s": kspan,
-            "puts_issued_node0": fused["puts_per_remote_dest"],
-            "first_issue": fused["first_issue"],
-            "last_issue": fused["last_issue"]}
+    return {"kernel_span": fused["elapsed"],
+            "first_put": fused["first_issue"],
+            "last_put": fused["last_issue"],
+            "puts": fused["puts_per_remote_dest"]}
+
+
+def wg_timeline_record(kernel_span: float, first_put: float,
+                       last_put: float, puts: int, elapsed: float,
+                       timeline: str) -> Dict[str, Any]:
+    """One ``wg_timeline`` (Fig. 11) result, for either backend.
+
+    Put times are relative to the kernel start.  The underscore keys are
+    raw metrics (dropped from the figure's extra) so ``repro diff``
+    catches timing regressions that the display strings would hide.
+    """
+    return {
+        "kernel_time": f"{kernel_span * 1e3:.3f} ms",
+        "puts_issued_node0": puts,
+        "first_put_at": f"{100 * first_put / kernel_span:.1f}% of kernel",
+        "last_put_at": f"{100 * last_put / kernel_span:.1f}% of kernel",
+        "elapsed": f"{elapsed * 1e3:.3f} ms",
+        "timeline": "\n" + timeline,
+        "_kernel_time_s": kernel_span,
+        "_first_put_frac": first_put / kernel_span,
+        "_last_put_frac": last_put / kernel_span,
+        "_elapsed_s": elapsed,
+    }
 
 
 def _wg_timeline_record(values: Dict[str, Any]) -> Dict[str, Any]:
-    """One scenario's ``wg_timeline`` result from its
-    :func:`_wg_timeline_values`."""
-    kspan = values["_kernel_time_s"]
-    first = values["first_issue"]
-    last = values["last_issue"]
-    return {
-        "kernel_time": f"{kspan * 1e3:.3f} ms",
-        "puts_issued_node0": values["puts_issued_node0"],
-        "first_put_at": f"{100 * first / kspan:.1f}% of kernel",
-        "last_put_at": f"{100 * last / kspan:.1f}% of kernel",
-        "elapsed": f"{kspan * 1e3:.3f} ms",
-        "timeline": "\n(per-WG timeline requires the DES trace; run this "
-                    "sweep under backend=sim to render it)",
-        "_kernel_time_s": kspan,
-        "_first_put_frac": first / kspan,
-        "_last_put_frac": last / kspan,
-        "_elapsed_s": kspan,
-    }
+    """One scenario's analytic ``wg_timeline`` result from its
+    :func:`_wg_timeline_values` (the closed form's span is also its
+    elapsed time)."""
+    return wg_timeline_record(
+        values["kernel_span"], values["first_put"], values["last_put"],
+        values["puts"], values["kernel_span"],
+        "(per-WG timeline requires the DES trace; run this sweep under "
+        "backend=sim to render it)")
 
 
 def predict_wg_timeline(batch: int = 512, tables: int = 32,

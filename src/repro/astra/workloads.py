@@ -66,11 +66,6 @@ class DlrmIterationTimes:
     embed_fused_fwd: float   #: pooling at the fused kernel's occupancy
     embed_fused_bwd: float
 
-    def baseline_total_estimate(self) -> float:
-        """Serial critical-path estimate (diagnostics only)."""
-        return (self.embed_fwd + self.a2a_fwd + self.inter_top_fwd
-                + self.top_inter_bwd + self.a2a_bwd + self.embed_bwd)
-
 
 def compute_kernel_times(model: DlrmModelConfig, network: TorusNetwork,
                          gpu: Optional[Gpu] = None,

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..astra import run_dlrm_scaleout
 from ..bench.harness import FigureResult, Row, compare
 from ..fused.base import OpHarness
 from ..fused.embedding_alltoall import (
@@ -162,11 +161,7 @@ def _embedding_a2a_pair(params: Dict[str, Any]) -> Dict[str, Any]:
     platform = p.pop("platform", None)
     baseline = p.pop("baseline", None)
     cfg = EmbeddingA2AConfig(functional=False, **p)
-    # The baseline override inherits the collective schedule unless it
-    # names its own (the algo axis compares like against like).
-    base_cfg = (cfg if baseline is None
-                else EmbeddingA2AConfig(functional=False,
-                                        **{"algo": cfg.algo, **baseline}))
+    base_cfg = cfg.baseline_config(baseline)
     row = compare(cfg.label,
                   lambda h: FusedEmbeddingAllToAll(h, cfg),
                   lambda h: BaselineEmbeddingAllToAll(h, base_cfg),
@@ -278,26 +273,14 @@ def _wg_timeline(params: Dict[str, Any]) -> Dict[str, Any]:
                         predicate=lambda e: e.actor.startswith("gpu0"))
     [kernel_span] = [s for s in trace.spans("kernel")
                      if s.detail.get("kernel") == "fused_emb_a2a[0]"]
-    kspan = kernel_span.end - kernel_span.start
-    first_put = min(p.time for p in puts) - kernel_span.start
-    last_put = max(p.time for p in puts) - kernel_span.start
     actors = [f"gpu0/wg{i}" for i in range(0, 32)]
-    return {
-        "kernel_time": f"{kspan * 1e3:.3f} ms",
-        "puts_issued_node0": len(puts),
-        "first_put_at": f"{100 * first_put / kspan:.1f}% of kernel",
-        "last_put_at": f"{100 * last_put / kspan:.1f}% of kernel",
-        "elapsed": f"{result.elapsed * 1e3:.3f} ms",
-        "timeline": "\n" + trace.render_timeline(actors=actors,
-                                                 width=timeline_width),
-        # Raw numeric metrics (underscore keys are dropped from the
-        # figure's extra) so ``repro diff`` catches timing regressions
-        # that the pre-formatted display strings would hide.
-        "_kernel_time_s": kspan,
-        "_first_put_frac": first_put / kspan,
-        "_last_put_frac": last_put / kspan,
-        "_elapsed_s": result.elapsed,
-    }
+    from ..analytic.ops import wg_timeline_record
+    return wg_timeline_record(
+        kernel_span.end - kernel_span.start,
+        min(p.time for p in puts) - kernel_span.start,
+        max(p.time for p in puts) - kernel_span.start,
+        len(puts), result.elapsed,
+        trace.render_timeline(actors=actors, width=timeline_width))
 
 
 @runner("dlrm_scaleout")
@@ -308,13 +291,8 @@ def _dlrm_scaleout(params: Dict[str, Any]) -> Dict[str, Any]:
     p = dict(params)
     _reject_algo(p, "dlrm_scaleout")
     _scenario_backend(p)
-    r = run_dlrm_scaleout(p["num_nodes"], platform=p.get("platform"))
-    return {
-        "fused_time": r.fused_time,
-        "baseline_time": r.baseline_time,
-        "reduction_pct": r.reduction_pct,
-        "exposed_a2a_fraction": r.exposed_a2a_fraction(),
-    }
+    from ..analytic import predict_dlrm_scaleout
+    return predict_dlrm_scaleout(**p)
 
 
 @runner("table_setup")

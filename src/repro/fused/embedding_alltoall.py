@@ -32,7 +32,7 @@ wins at small global batch sizes (Fig. 12).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, NamedTuple, Optional
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -130,6 +130,16 @@ class EmbeddingA2AConfig:
         return WgCost(flops=base.flops * vectors,
                       bytes=base.bytes * vectors * SCATTER_ATOMIC_FACTOR,
                       dtype="fp32", access="gather")
+
+    def baseline_config(self, overrides: Optional[Mapping[str, Any]]
+                        ) -> "EmbeddingA2AConfig":
+        """The baseline operator's config: ``self``, or a config of its
+        own built from ``overrides``, which inherits ``algo`` unless it
+        names its own (the algo axis compares like against like)."""
+        if overrides is None:
+            return self
+        return EmbeddingA2AConfig(functional=self.functional,
+                                  **{"algo": self.algo, **overrides})
 
     @property
     def label(self) -> str:

@@ -42,7 +42,6 @@ from .specs import (
     IB_NIC,
     IF_LINK,
     MI210,
-    ClusterSpec,
     GpuSpec,
     LinkSpec,
     NicSpec,
@@ -154,11 +153,6 @@ class Platform:
                                   else self.gpus_per_node),
                         link=self.link, nic=self.nic,
                         nics_per_node=self.nics_per_node)
-
-    def cluster_spec(self, num_nodes: int,
-                     gpus_per_node: Optional[int] = None) -> ClusterSpec:
-        return ClusterSpec(node=self.node_spec(gpus_per_node),
-                           num_nodes=num_nodes)
 
     # -- derived kernel footprints ------------------------------------------
     def baseline_resources(self) -> KernelResources:

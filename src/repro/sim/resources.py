@@ -200,11 +200,6 @@ class FairShareLink:
     def active_flows(self) -> int:
         return len(self._heap)
 
-    def current_rate_per_flow(self) -> float:
-        """Instantaneous per-flow bandwidth (for diagnostics)."""
-        n = len(self._heap)
-        return self.bandwidth / n if n else self.bandwidth
-
     # -- fluid bookkeeping ----------------------------------------------------
     def _drain_to_now(self) -> None:
         now = self.sim.now

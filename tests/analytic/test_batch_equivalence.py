@@ -31,6 +31,7 @@ from repro.analytic.ops import (
 )
 from repro.hw.gpu import WgCost, bulk_kernel_time, persistent_occupancy
 from repro.hw.platform import generic
+from repro.obs.metrics import enable_metrics, reset_metrics
 from repro.utils.units import GB_PER_S
 
 platforms = st.builds(
@@ -44,17 +45,26 @@ platforms = st.builds(
 )
 
 
+def _assert_value_equal(got, want, where):
+    # ``type(...) is`` on purpose: NumPy's float64 subclasses float, and
+    # the batch must return the scalar path's exact builtin types.
+    assert type(got) is type(want), \
+        f"{where}: {type(got).__name__} != {type(want).__name__}"
+    if isinstance(want, dict):
+        assert set(got) == set(want), where
+        for k, w in want.items():
+            _assert_value_equal(got[k], w, f"{where}.{k}")
+    elif isinstance(want, float):
+        assert got == pytest.approx(want, rel=1e-9, abs=0.0), where
+        assert got == want, f"{where}: {got!r} != {want!r} (bit drift)"
+    else:
+        assert got == want, where
+
+
 def _assert_records_equal(batch_records, scalar_records):
     assert len(batch_records) == len(scalar_records)
-    for got, want in zip(batch_records, scalar_records):
-        assert set(got) == set(want)
-        for k, w in want.items():
-            g = got[k]
-            if isinstance(w, float):
-                assert g == pytest.approx(w, rel=1e-9, abs=0.0), k
-                assert g == w, f"{k}: {g!r} != {w!r} (bit drift)"
-            else:
-                assert g == w, k
+    for i, (got, want) in enumerate(zip(batch_records, scalar_records)):
+        _assert_value_equal(got, want, f"record[{i}]")
 
 
 def _check(runner, scalar_fn, params_list):
@@ -228,16 +238,61 @@ def test_from_columns_matches_scalar():
 
 
 def test_unrepresentable_rows_fall_back_to_scalar():
-    # Platform objects and unknown keys can't join a columnar group; the
-    # engine must still return exact scalar results for them.
-    plat = generic("fb", num_cus=100)
+    # A knob value no int64 column can hold (512.0) makes its row a group
+    # of its own with no columns, i.e. the scalar evaluation itself.
     params = [
-        dict(num_nodes=2, gpus_per_node=1, global_batch=512,
-             tables_per_gpu=8, platform=plat),
+        dict(num_nodes=2, gpus_per_node=1, global_batch=512.0,
+             tables_per_gpu=8),
         dict(num_nodes=2, gpus_per_node=1, global_batch=1024,
              tables_per_gpu=8),
     ]
+    m = enable_metrics()
+    try:
+        batch = ScenarioBatch.from_params("embedding_a2a_pair", params)
+        got = batch.records()
+    finally:
+        reset_metrics()
+    assert m.counters["batch.scalar_fallback_rows"] == 1
+    assert m.counters["batch.groups"] == 2
+    _assert_records_equal(got, [predict_embedding_a2a(**p) for p in params])
+
+
+def test_rows_setting_different_knobs_match_scalar():
+    # Rows with and without ``dim``, with ``occupancy_of_baseline`` None or
+    # left out, in one batch: a knob a row leaves out takes the closed
+    # form's own default.
+    params = [
+        dict(num_nodes=2, gpus_per_node=1, global_batch=gb,
+             tables_per_gpu=8, **extra)
+        for gb in (512, 1024)
+        for extra in ({}, {"dim": 64}, {"occupancy_of_baseline": None},
+                      {"dim": 128, "occupancy_of_baseline": None},
+                      {"occupancy_of_baseline": 0.5})
+    ]
     _check("embedding_a2a_pair", predict_embedding_a2a, params)
+    batch = ScenarioBatch.from_params("embedding_a2a_pair", params)
+    assert len(batch.groups) == 4      # one per set of knob names
+    assert batch.fallback_rows == 0
+
+
+def test_unknown_names_are_rejected():
+    base = dict(num_nodes=2, gpus_per_node=1, global_batch=512,
+                tables_per_gpu=8)
+    with pytest.raises(TypeError) as scalar_err:
+        predict_embedding_a2a(**base, bogus=1)
+    with pytest.raises(TypeError) as err:
+        evaluate_batch_records("embedding_a2a_pair", [{**base, "bogus": 1}])
+    assert str(err.value) == str(scalar_err.value)
+    with pytest.raises(TypeError) as err:
+        ScenarioBatch.from_grid(
+            "embedding_a2a_pair",
+            {k: [v] for k, v in {**base, "bogus": 1}.items()}).evaluate()
+    assert str(err.value) == str(scalar_err.value)
+    with pytest.raises(ValueError, match="unknown columns"):
+        ScenarioBatch.from_columns(
+            "embedding_a2a_pair",
+            {"global_batch": [512], "tables_per_gpu": [8], "bogus": [1]},
+            structural={"num_nodes": 2, "gpus_per_node": 1})
 
 
 def test_unsupported_runner_returns_none():
