@@ -26,7 +26,6 @@ so ``records()`` is always a safe drop-in for looping over ``predict_*``.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -230,10 +229,11 @@ class ScenarioBatch:
         if any(ln < 1 for ln in lengths):
             raise ValueError("every axis needs at least one value")
         knob_axes = [k for k in names if k in spec.ints + spec.floats]
-        if not all(spec.fits(k, v) for k in knob_axes for v in axes[k]):
-            return cls.from_params(runner, [
-                dict(zip(names, vals))
-                for vals in itertools.product(*(axes[k] for k in names))])
+        for k in knob_axes:
+            for v in axes[k]:
+                if not spec.fits(k, v):
+                    raise ValueError(
+                        f"axis {k!r}: value {v!r} does not fit its column")
         n = int(np.prod(lengths, dtype=np.int64)) if names else 1
         # Value-index column per axis, in product order.
         idx_cols: Dict[str, np.ndarray] = {}

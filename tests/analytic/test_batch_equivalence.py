@@ -257,6 +257,23 @@ def test_unrepresentable_rows_fall_back_to_scalar():
     _assert_records_equal(got, [predict_embedding_a2a(**p) for p in params])
 
 
+def test_from_grid_rejects_knob_values_that_fit_no_column():
+    # A grid axis is one column: a knob value it cannot hold exactly is an
+    # error naming the axis, never a silent cast.
+    axes = {"num_nodes": [2], "gpus_per_node": [1], "tables_per_gpu": [8]}
+    with pytest.raises(ValueError, match="axis 'global_batch': value 512.0"):
+        ScenarioBatch.from_grid("embedding_a2a_pair",
+                                {**axes, "global_batch": [1024, 512.0]})
+    with pytest.raises(ValueError, match="axis 'occupancy_of_baseline'"):
+        ScenarioBatch.from_grid(
+            "embedding_a2a_pair",
+            {**axes, "global_batch": [512], "occupancy_of_baseline": ["x"]})
+    batch = ScenarioBatch.from_grid(
+        "embedding_a2a_pair",
+        {**axes, "global_batch": [512], "occupancy_of_baseline": [None, 0.5]})
+    assert batch.fallback_rows == 0 and len(batch.groups) == 1
+
+
 def test_rows_setting_different_knobs_match_scalar():
     # Rows with and without ``dim``, with ``occupancy_of_baseline`` None or
     # left out, in one batch: a knob a row leaves out takes the closed
